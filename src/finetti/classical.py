@@ -41,6 +41,8 @@ class FinDist:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.space),):
             raise ValueError(f"{p.shape} probabilities for {len(self.space)} labels")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if p.min() < -PROB_TOL or abs(p.sum() - 1.0) > PROB_TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         p.setflags(write=False)

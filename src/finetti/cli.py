@@ -77,15 +77,21 @@ def _load_sequence(args):
     if args.tol is not None:
         seq.tolerance = args.tol
     if args.depth is not None:
+        if not 1 <= args.depth <= seq.depth:
+            raise SchemaError(f"--depth {args.depth} outside 1..{seq.depth}")
         if isinstance(seq, ExchSeq):
             seq = seq.truncate(args.depth)
         else:
-            if not 1 <= args.depth <= seq.depth:
-                raise SchemaError(f"--depth {args.depth} outside 1..{seq.depth}")
             seq = ClassicalExchSeq(
                 seq.space, args.depth, seq.measures[: args.depth], seq.tolerance
             )
     return seq
+
+
+def _atom_count(args, least: int) -> int:
+    if args.atom_count < least:
+        raise SchemaError(f"--atom-count {args.atom_count} must be at least {least}")
+    return args.atom_count
 
 
 def _load_atoms(args, seq) -> AtomSet | list:
@@ -109,11 +115,11 @@ def _load_atoms(args, seq) -> AtomSet | list:
     if isinstance(seq, ClassicalExchSeq):
         if len(seq.space) != 2:
             raise SchemaError("no default grid beyond two-point spaces; pass --atoms")
-        count = args.atom_count
+        count = _atom_count(args, 2)
         return [
             classical.bernoulli(list(seq.space), j / (count - 1)) for j in range(count)
         ]
-    return default_atoms(seq.base.blocks[0], args.atom_count, args.seed)
+    return default_atoms(seq.base.blocks[0], _atom_count(args, 1), args.seed)
 
 
 def cmd_check(args) -> int:
@@ -188,7 +194,7 @@ def cmd_factor(args) -> int:
     if args.atoms:
         atoms = serialize.decode_atoms(serialize.load_document(args.atoms), args.atoms)
     else:
-        atoms = default_atoms(cone.base.blocks[0], args.atom_count, args.seed)
+        atoms = default_atoms(cone.base.blocks[0], _atom_count(args, 1), args.seed)
     med = mediating_map(cone, atoms, max_residual=args.max_residual)
     err = factorization_error(cone, med)
     unique = uniqueness_check(cone, atoms, trials=args.trials, seed=args.seed)

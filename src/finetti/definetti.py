@@ -36,11 +36,13 @@ from .exchange import (
     _pack,
     _unpack,
 )
-from .solvers import lead_first_lstsq, realify
+from .solvers import EPS, lead_first_lstsq, realify
 
 DISTINCT_TOL = 1e-6
 WEIGHT_TOL = 1e-9
 SYNTH_TOL = 1e-10
+# Entries of one block of the distinctness screen's pairwise table.
+SCREEN_ENTRIES = 1 << 19
 
 
 class NotExchangeable(ValueError):
@@ -92,16 +94,30 @@ def random_mixed_state(d: int, rng: np.random.Generator) -> StateVec:
     return StateVec(Algebra((d,)), [rho / np.trace(rho).real])
 
 
-@dataclass
+@dataclass(frozen=True)
 class AtomSet:
-    """Pairwise-distinct candidate states on a common base algebra."""
+    """Pairwise-distinct candidate states on a common base algebra.
+
+    An atom set owns its moment design (see :meth:`design`): levels are built
+    for all atoms at once when first asked for, kept, and served to every
+    later call, so the design of a dictionary is built once however many
+    sequences are fitted over it.  The atoms are a tuple, the instance is
+    frozen and the stored arrays are read-only, so the store cannot go stale.
+    """
 
     base: Algebra
-    atoms: list[StateVec] = field(repr=False)
+    atoms: tuple[StateVec, ...] = field(repr=False)
     seed: int | None = None
     method: str = "explicit"
+    # Realified moment columns, atom-major, and the depth they reach: row k
+    # holds, level by level, the real then the imaginary part of
+    # vec(sigma_k^(x n)), so the columns of every shallower depth are a prefix.
+    _moments: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _depth: int = field(init=False, repr=False, compare=False, default=0)
+    _ranks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", tuple(self.atoms))
         if not self.atoms:
             raise ValueError("need at least one atom")
         for s in self.atoms:
@@ -110,21 +126,102 @@ class AtomSet:
         self._check_distinct()
 
     def _check_distinct(self) -> None:
-        # Frobenius distance lower-bounds trace distance, so a vectorized
-        # Frobenius screen settles almost every pair cheaply.
+        # Frobenius distance lower-bounds trace distance, so a Frobenius
+        # screen settles almost every pair cheaply.  It comes from the real
+        # Gram matrix, ||a - b||^2 = ||a||^2 + ||b||^2 - 2 Re<a, b>, one block
+        # of rows at a time; pairs within round-off of the threshold go on to
+        # the trace distance.
         vecs = np.stack([state_to_dense(s).ravel() for s in self.atoms])
-        sq = np.abs(vecs[:, None, :] - vecs[None, :, :]) ** 2
-        fro = np.sqrt(sq.sum(axis=2))
-        k = len(self.atoms)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if fro[i, j] > DISTINCT_TOL:
-                    continue
+        x = np.concatenate([vecs.real, vecs.imag], axis=1)
+        sq = np.einsum("ij,ij->i", x, x)
+        k, m = x.shape
+        step = max(1, SCREEN_ENTRIES // k)
+        for i0 in range(0, k, step):
+            i1 = min(i0 + step, k)
+            norms = sq[i0:i1, None] + sq[None, i0:]
+            gap = norms - 2.0 * (x[i0:i1] @ x[i0:].T)
+            # Pairs j > i only; the slack covers the round-off of the Gram form.
+            close = np.triu(gap <= DISTINCT_TOL**2 + 4 * (m + 2) * EPS * norms, 1)
+            for i, j in zip(*np.nonzero(close)):
+                i, j = i0 + int(i), i0 + int(j)
                 if state_distance(self.atoms[i], self.atoms[j]) <= DISTINCT_TOL:
                     raise ValueError(f"atoms {i} and {j} are not distinct")
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+    def _unit(self) -> np.ndarray:
+        """The packed atoms as a ``(k, r, c)`` stack: the level-1 matrices,
+        or for a commutative base the block-value vectors as columns."""
+        packed = np.stack([_pack(self.base, s) for s in self.atoms])
+        return packed if packed.ndim == 3 else packed[:, :, None]
+
+    def _rows(self, depth: int) -> int:
+        """Realified design rows of levels 1..depth."""
+        return 2 * sum(_level_size(self.base, n) for n in range(1, depth + 1))
+
+    def design(self, depth: int) -> np.ndarray:
+        """Realified moment design up to ``depth``, read-only: column k holds,
+        for n = 1..depth, the real then the imaginary part of
+        ``vec(sigma_k^(x n))``, so the rows of level 1 come first.
+
+        Levels are built once, for all atoms together, and kept: a deeper
+        request extends the stored levels and a shallower one is a view of
+        them.
+        """
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        if depth > self._depth:
+            self._extend(depth)
+        return self._moments[:, : self._rows(depth)].T
+
+    def _extend(self, depth: int) -> None:
+        unit, k, built = self._unit(), len(self), self._depth
+        moments = np.empty((k, self._rows(depth)))
+        if built:
+            moments[:, : self._moments.shape[1]] = self._moments
+        for n, re, im in _level_rows(self.base, depth):
+            if n == built:  # the top stored level seeds the next Kronecker step
+                shape = [s**n for s in unit.shape[1:]]
+                cur = (moments[:, re] + 1j * moments[:, im]).reshape(k, *shape)
+            elif n > built:
+                cur = unit if n == 1 else _next_level(cur, unit)
+                moments[:, re] = cur.reshape(k, -1).real
+                moments[:, im] = cur.reshape(k, -1).imag
+        moments.setflags(write=False)
+        object.__setattr__(self, "_moments", moments)
+        object.__setattr__(self, "_depth", depth)
+
+    def rank(self, depth: int) -> int:
+        """Numerical rank of the moment design up to ``depth``, memoized."""
+        if depth not in self._ranks:
+            self._ranks[depth] = int(np.linalg.matrix_rank(self.design(depth)))
+        return self._ranks[depth]
+
+
+def _next_level(cur: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """One Kronecker step for all atoms at once:
+    ``out[k] = kron(cur[k], unit[k])`` over ``(k, R, C)`` and ``(k, r, c)``."""
+    k, big_r, big_c = cur.shape
+    _, r, c = unit.shape
+    out = np.einsum("kab,kcd->kacbd", cur, unit)
+    return out.reshape(k, big_r * r, big_c * c)
+
+
+def _level_size(base: Algebra, n: int) -> int:
+    """Entries of a packed level-n element: ``d^(2n)`` for a single block
+    ``d``, ``b^n`` for a commutative base with ``b`` blocks."""
+    return (base.blocks[0] ** 2 if base.n_blocks == 1 else base.n_blocks) ** n
+
+
+def _level_rows(base: Algebra, depth: int):
+    """``(n, real rows, imaginary rows)`` of each level of
+    :meth:`AtomSet.design`, for n = 1..depth."""
+    at = 0
+    for n in range(1, depth + 1):
+        size = _level_size(base, n)
+        yield n, slice(at, at + size), slice(at + size, at + 2 * size)
+        at += 2 * size
 
 
 def explicit_atoms(states) -> AtomSet:
@@ -155,7 +252,7 @@ class Mixture:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.atomset),):
             raise ValueError(f"{w.shape} weights for {len(self.atomset)} atoms")
-        if w.min() < -WEIGHT_TOL or abs(w.sum() - 1.0) > WEIGHT_TOL:
+        if not np.isfinite(w).all() or w.min() < -WEIGHT_TOL or abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError("weights must lie on the probability simplex")
         w.setflags(write=False)
         self.weights = w
@@ -172,32 +269,26 @@ class Mixture:
 def synthesize(mix: Mixture, depth: int, tolerance: float = SYNTH_TOL) -> ExchSeq:
     """The exchangeable sequence of a mixture: ``rho_n = sum_k w_k sigma_k^(x n)``."""
     base = mix.atomset.base
-    packed = [_pack(base, s) for s in mix.atomset.atoms]
+    design = mix.atomset.design(depth)
+    shape = _pack(base, mix.atomset.atoms[0]).shape
     states = []
-    powers = [p.copy() for p in packed]
-    for n in range(1, depth + 1):
-        acc = sum(w * p for w, p in zip(mix.weights, powers))
-        states.append(_unpack(base, n, acc, StateVec))
-        if n < depth:
-            powers = [np.kron(p, q) for p, q in zip(powers, packed)]
+    for n, re, im in _level_rows(base, depth):
+        level = design[re] @ mix.weights + 1j * (design[im] @ mix.weights)
+        states.append(_unpack(base, n, level.reshape([s**n for s in shape]), StateVec))
     return ExchSeq(base, depth, states, tolerance)
 
 
 # --- moment systems -----------------------------------------------------------
 
 def moment_matrix(atoms: AtomSet, depth: int) -> np.ndarray:
-    """Complex design matrix: column k stacks ``vec(sigma_k^(x n))`` for n <= depth."""
-    base = atoms.base
-    cols = []
-    for s in atoms.atoms:
-        p = _pack(base, s)
-        chunks, cur = [], p
-        for n in range(1, depth + 1):
-            chunks.append(cur.ravel())
-            if n < depth:
-                cur = np.kron(cur, p)
-        cols.append(np.concatenate(chunks))
-    return np.stack(cols, axis=1)
+    """Complex design matrix, read-only: column k stacks ``vec(sigma_k^(x n))``
+    for n <= depth.  Assembled from the atom set's stored design."""
+    design = atoms.design(depth)
+    out = np.concatenate(
+        [design[re] + 1j * design[im] for _, re, im in _level_rows(atoms.base, depth)]
+    )
+    out.setflags(write=False)
+    return out
 
 
 def sequence_vector(seq: ExchSeq, depth: int | None = None) -> np.ndarray:
@@ -207,21 +298,28 @@ def sequence_vector(seq: ExchSeq, depth: int | None = None) -> np.ndarray:
     )
 
 
+def _realified_sequence(seq: ExchSeq) -> np.ndarray:
+    """The sequence in the row order of :meth:`AtomSet.design`: level by
+    level, the real then the imaginary part."""
+    parts = []
+    for n in range(1, seq.depth + 1):
+        v = _pack(seq.base, seq.level(n)).ravel()
+        parts += [v.real, v.imag]
+    return np.concatenate(parts)
+
+
 def moment_rank(atoms: AtomSet, depth: int) -> int:
-    """Numerical rank of the stacked moment columns."""
-    return int(np.linalg.matrix_rank(realify(moment_matrix(atoms, depth))))
+    """Numerical rank of the stacked moment columns (memoized on ``atoms``)."""
+    return atoms.rank(depth)
 
 
 def moment_independent(atoms: AtomSet, depth: int) -> bool:
     return moment_rank(atoms, depth) == len(atoms)
 
 
-def _level1_rows(atoms: AtomSet, design: np.ndarray) -> np.ndarray:
-    """Rows of a realified moment design that hold level 1: the first rows
-    of its real half and of its imaginary half."""
-    size = _pack(atoms.base, atoms.atoms[0]).size
-    half = design.shape[0] // 2
-    return np.r_[0:size, half : half + size]
+def _level1_rows(atoms: AtomSet) -> slice:
+    """Rows of :meth:`AtomSet.design` that hold level 1."""
+    return slice(0, 2 * _level_size(atoms.base, 1))
 
 
 def reconstruct(
@@ -245,7 +343,8 @@ def reconstruct(
     :func:`~finetti.solvers.lead_first_lstsq`.  The input is rejected with
     :class:`NotExchangeable` unless it passes
     :func:`~finetti.exchange.check_exchangeable` at the sequence tolerance;
-    pass ``check=False`` to skip that gate.
+    pass ``check=False`` to skip that gate.  The design comes from the atom
+    set's store (:meth:`AtomSet.design`).
 
     Returns the mixture and the residual ``sqrt(sum_n ||...||_F^2)`` over all
     levels at that mixture.  The residual is the non-representability
@@ -260,9 +359,9 @@ def reconstruct(
         report = check_exchangeable(seq)
         if not report.ok:
             raise NotExchangeable(report)
-    design = realify(moment_matrix(atoms, seq.depth))
-    target = realify(sequence_vector(seq))
-    w, residual = lead_first_lstsq(design, target, _level1_rows(atoms, design), start=start)
+    w, residual = lead_first_lstsq(
+        atoms.design(seq.depth), _realified_sequence(seq), _level1_rows(atoms), start=start
+    )
     return Mixture(atoms, w), residual
 
 
@@ -495,14 +594,14 @@ def uniqueness_check(
     rng = np.random.default_rng(seed)
     rank = moment_rank(atoms, cone.depth)
     probes, _ = probe_states(cone.apex)
+    design = atoms.design(cone.depth)
     design_c = moment_matrix(atoms, cone.depth)
-    design = realify(design_c)
-    lead = _level1_rows(atoms, design)
+    lead = _level1_rows(atoms)
     k = len(atoms)
     weight_spread = 0.0
     moment_spread = 0.0
     for kappa in probes:
-        target = realify(sequence_vector(cone.sequence(kappa)))
+        target = _realified_sequence(cone.sequence(kappa))
         sols = []
         for _ in range(trials):
             start = rng.dirichlet(np.ones(k))

@@ -8,13 +8,13 @@ round-trip repr, so ``decode(encode(x))`` is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .classical import ClassicalExchSeq, FinDist
 from .cpmaps import ChoiMap
-from .cstar import Algebra, StateVec
+from .cstar import Algebra, StateVec, make_state
 from .definetti import AtomSet, Cone, MediatingMap, Mixture, UniquenessReport
 from .exchange import ExchSeq, ExchangeReport
 
@@ -35,11 +35,12 @@ def encode_complex(z: complex):
 
 
 def decode_complex(v, path: str = "value") -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    _fail(path, f"expected number or [re, im] pair, got {v!r}")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        _fail(path, f"expected number or [re, im] pair, got {v!r}")
+    if not all(math.isfinite(x) for x in parts):
+        _fail(path, f"non-finite entry {v!r}")
+    return complex(*parts)
 
 
 def encode_matrix(m: np.ndarray):
@@ -84,7 +85,8 @@ def decode_state(doc, path: str = "state") -> StateVec:
     mats = _require(doc, "dens", path)
     if not isinstance(mats, list) or len(mats) != alg.n_blocks:
         _fail(path, f"'dens' must list {alg.n_blocks} blocks")
-    return StateVec(alg, [decode_matrix(m, f"{path}.dens[{i}]") for i, m in enumerate(mats)])
+    dens = [decode_matrix(m, f"{path}.dens[{i}]") for i, m in enumerate(mats)]
+    return _decode_density(alg, dens, path)
 
 
 def encode_choi(f: ChoiMap) -> dict:
@@ -105,6 +107,14 @@ def decode_choi(doc, path: str = "map") -> ChoiMap:
     choi = decode_matrix(_require(doc, "choi", path), f"{path}.choi")
     try:
         return ChoiMap(source, target, direction, choi)
+    except ValueError as e:
+        _fail(path, str(e))
+
+
+def _decode_density(alg: Algebra, dens: list, path: str) -> StateVec:
+    """Decoded density blocks as a state: Hermitian, positive, unit trace."""
+    try:
+        return make_state(alg, dens)
     except ValueError as e:
         _fail(path, str(e))
 
@@ -137,7 +147,7 @@ def decode_exch_seq(doc, path: str = "sequence") -> ExchSeq:
         mat = decode_matrix(m, f"{path}.states[{n - 1}]")
         if mat.shape != (d**n, d**n):
             _fail(path, f"level {n} matrix is {mat.shape}, expected {(d**n, d**n)}")
-        states.append(StateVec(Algebra((d**n,)), [mat]))
+        states.append(_decode_density(Algebra((d**n,)), [mat], f"{path}.states[{n - 1}]"))
     try:
         return ExchSeq(base, depth, states, float(tol))
     except ValueError as e:
@@ -199,9 +209,8 @@ def decode_atoms(doc, path: str = "atoms") -> AtomSet:
         for i, row in enumerate(doc["grid"]):
             if not isinstance(row, list) or len(row) != k:
                 _fail(path, f"grid row {i} must have {k} probabilities")
-            states.append(
-                StateVec(Algebra((1,) * k), [np.array([[float(p)]]) for p in row])
-            )
+            dens = [np.array([[decode_complex(p, f"{path}.grid[{i}]")]]) for p in row]
+            states.append(_decode_density(Algebra((1,) * k), dens, f"{path}.grid[{i}]"))
         try:
             return explicit_atoms(states)
         except ValueError as e:
@@ -214,7 +223,7 @@ def decode_atoms(doc, path: str = "atoms") -> AtomSet:
         mat = decode_matrix(m, f"{path}.atoms[{i}]")
         if mat.shape[0] != mat.shape[1]:
             _fail(path, f"atom {i} is not square")
-        states.append(StateVec(Algebra((mat.shape[0],)), [mat]))
+        states.append(_decode_density(Algebra((mat.shape[0],)), [mat], f"{path}.atoms[{i}]"))
     try:
         return explicit_atoms(states)
     except ValueError as e:

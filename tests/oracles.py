@@ -123,3 +123,17 @@ def cp_probe(choi: np.ndarray, ds: int, dt: int, trials: int, seed: int) -> bool
             if np.linalg.eigvalsh(out).min() < -1e-9:
                 return False
     return True
+
+
+def kron_moment_matrix(columns, depth: int) -> np.ndarray:
+    """Stacked moment design, one atom at a time: column k stacks
+    ``vec(a_k^(x n))`` for n = 1..depth, each power by repeated ``np.kron``
+    (``a_k`` a matrix, or a vector for a commutative base)."""
+    cols = []
+    for a in columns:
+        chunks, cur = [], np.asarray(a)
+        for _ in range(depth):
+            chunks.append(cur.ravel())
+            cur = np.kron(cur, a)
+        cols.append(np.concatenate(chunks))
+    return np.stack(cols, axis=1)

@@ -52,6 +52,13 @@ def test_findist_validation():
     assert d.probs[2] == 0.5
 
 
+def test_findist_rejects_non_finite_entries():
+    # Every comparison with NaN is false, so only an explicit test stops it.
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5, -np.inf]):
+        with pytest.raises(ValueError):
+            FinDist(ABC, np.array(bad))
+
+
 def test_dirac_is_point_mass():
     d = dirac("b", ABC)
     assert np.array_equal(d.probs, [0.0, 1.0, 0.0])

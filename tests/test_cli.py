@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import finetti
 from finetti.cli import (
     EXIT_INVARIANT,
     EXIT_NOT_REPRESENTABLE,
@@ -300,10 +302,67 @@ def test_output_file_and_determinism(tmp_path, capsys, seq_file):
 
 
 def test_console_entry_point_runs():
+    # The child imports the same finetti as this process, however it was found.
+    src = os.path.dirname(os.path.dirname(finetti.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "finetti.cli", "demo", "coin"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "residual" in proc.stdout.lower()
+
+
+def _iid_tower_doc(level1: np.ndarray, depth: int) -> dict:
+    levels, cur = [], level1
+    for _ in range(depth):
+        levels.append(cur)
+        cur = np.kron(cur, level1)
+    return {
+        "base_dim": level1.shape[0],
+        "depth": depth,
+        "states": [[[[z.real, z.imag] for z in row] for row in m.tolist()] for m in levels],
+        "tol": 1e-9,
+    }
+
+
+def _malformed_docs():
+    nan = _iid_tower_doc(np.eye(2) / 2, 3)
+    nan["states"][1][0][0] = [float("nan"), 0.0]
+    inf = _iid_tower_doc(np.eye(2) / 2, 3)
+    inf["states"][0][1][1] = float("inf")
+    non_positive = _iid_tower_doc(np.diag([1.5, -0.5]), 3)
+    coin_nan = {"space": ["H", "T"], "depth": 1, "measures": [[float("nan"), 1.0]]}
+    return {"nan": nan, "inf": inf, "non-positive": non_positive, "coin-nan": coin_nan}
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_docs()))
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_malformed_numbers_exit_2_with_one_line(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_malformed_docs()[name]))
+    assert main([command, "--input", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_atom_count_out_of_range_exits_2(capsys, seq_file, coin_file, cone_file):
+    for argv in (
+        ["reconstruct", "--input", seq_file, "--atom-count", "0"],
+        ["reconstruct", "--input", coin_file, "--atom-count", "1"],
+        ["factor", "--input", cone_file, "--atom-count", "0"],
+    ):
+        assert main(argv) == EXIT_PARSE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: --atom-count") and err.count("\n") == 1, argv
+
+
+def test_depth_out_of_range_exits_2(capsys, seq_file, coin_file):
+    for path in (seq_file, coin_file):
+        assert main(["check", "--input", path, "--depth", "9"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: --depth 9") and err.count("\n") == 1

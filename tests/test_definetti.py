@@ -44,7 +44,7 @@ from finetti.fixtures import (
 )
 from finetti.solvers import realify
 
-from oracles import scipy_lead_weighted_lstsq, scipy_simplex_lstsq
+from oracles import kron_moment_matrix, scipy_lead_weighted_lstsq, scipy_simplex_lstsq
 
 
 def test_random_state_generators_are_valid_and_seeded():
@@ -392,3 +392,163 @@ def test_synthesize_matches_eta_invariance():
     lvl3 = seq.level(3)
     rolled = eta_sigma(lvl3, QUBIT, (1, 2, 0))
     assert state_distance(lvl3, rolled) < 1e-12
+
+
+def test_mixture_rejects_non_finite_weights():
+    atoms = default_atoms(2, 3, seed=1)
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="simplex"):
+            Mixture(atoms, np.array(bad))
+
+
+# --- the stored moment design ------------------------------------------------
+
+
+def _commutative_atoms():
+    space = Algebra((1, 1, 1))
+    grid = [(0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (1.0, 0.0, 0.0), (0.25, 0.25, 0.5)]
+    return explicit_atoms(
+        make_state(space, [np.array([[p]], dtype=complex) for p in probs]) for probs in grid
+    )
+
+
+def _packed(atoms):
+    if atoms.base.n_blocks == 1:
+        return [s.dens[0] for s in atoms.atoms]
+    return [np.array([m[0, 0] for m in s.dens]) for s in atoms.atoms]
+
+
+def _level_by_level(design_c: np.ndarray, sizes) -> np.ndarray:
+    parts, at = [], 0
+    for size in sizes:
+        block = design_c[at : at + size]
+        parts += [block.real, block.imag]
+        at += size
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize(
+    "make, depth",
+    [
+        (lambda: default_atoms(2, 7, seed=3), 5),
+        (lambda: default_atoms(3, 5, seed=4), 3),
+        (_commutative_atoms, 4),
+    ],
+    ids=["qubit", "qutrit", "commutative-1+1+1"],
+)
+def test_stored_design_matches_per_atom_kron(make, depth):
+    atoms = make()
+    ref = kron_moment_matrix(_packed(atoms), depth)
+    got = moment_matrix(atoms, depth)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-15
+    size = _packed(atoms)[0].size
+    sizes = [size**n for n in range(1, depth + 1)]
+    assert np.abs(atoms.design(depth) - _level_by_level(ref, sizes)).max() <= 1e-15
+
+
+def test_shallower_design_is_the_stored_prefix():
+    deep_first = default_atoms(2, 9, seed=5)
+    deep = deep_first.design(5)
+    shallow = deep_first.design(3)
+    rows = 2 * (4 + 16 + 64)
+    assert np.array_equal(shallow, deep[:rows])
+    assert np.array_equal(shallow, default_atoms(2, 9, seed=5).design(3))
+    assert np.array_equal(moment_matrix(deep_first, 3), moment_matrix(deep_first, 5)[:84])
+
+
+def test_stored_design_and_atoms_are_read_only():
+    atoms = default_atoms(2, 4, seed=6)
+    for arr in (atoms.design(3), moment_matrix(atoms, 3)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert isinstance(atoms.atoms, tuple)
+    with pytest.raises(TypeError):
+        atoms.atoms[0] = atoms.atoms[1]
+    with pytest.raises(AttributeError):
+        atoms.atoms = atoms.atoms[:2]
+    assert not atoms.atoms[0].dens[0].flags.writeable
+
+
+def _count_level_builds(monkeypatch):
+    import finetti.definetti as definetti
+
+    builds = []
+    real = definetti._next_level
+
+    def counted(cur, unit):
+        out = real(cur, unit)
+        builds.append(out.shape[1:])
+        return out
+
+    monkeypatch.setattr(definetti, "_next_level", counted)
+    return builds
+
+
+def test_reconstruct_then_moment_rank_build_each_level_once(monkeypatch):
+    builds = _count_level_builds(monkeypatch)
+    ranks = []
+    real_rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda m: ranks.append(m.shape) or real_rank(m))
+    atoms = default_atoms(2, 20, seed=7)
+    seq = synthesize(Mixture(atoms, np.full(20, 0.05)), 3)
+    assert builds == [(4, 4), (8, 8)]
+    _, residual = reconstruct(seq, atoms)
+    assert residual < 1e-10
+    assert moment_rank(atoms, 3) == moment_rank(atoms, 3)
+    assert moment_rank(atoms, 2) >= 1
+    assert builds == [(4, 4), (8, 8)]
+    assert ranks == [(2 * (4 + 16 + 64), 20), (2 * (4 + 16), 20)]
+
+
+def test_mediating_map_builds_the_design_once_for_all_probes(monkeypatch):
+    builds = _count_level_builds(monkeypatch)
+    cone = measure_prepare_cone(3)  # apex A(2): four probe states
+    atoms = circuit1_atoms()
+    med = mediating_map(cone, atoms)
+    assert len(med.probes) == 4
+    assert builds == [(4, 4), (8, 8)]
+    uniqueness_check(cone, atoms, trials=3)
+    assert factorization_error(cone, med) < 1e-7
+    assert builds == [(4, 4), (8, 8)]
+
+
+# --- the distinctness screen ---------------------------------------------------
+
+
+def _near_pair(gap: float):
+    sigma = np.diag([0.5, 0.5]).astype(complex)
+    shift = np.diag([gap / 2, -gap / 2])  # trace distance ||shift||_1 = gap
+    return [make_state(QUBIT, [sigma]), make_state(QUBIT, [sigma + shift])]
+
+
+def test_distinctness_screen_threshold():
+    with pytest.raises(ValueError, match="atoms 0 and 1 are not distinct"):
+        explicit_atoms(_near_pair(1e-8))
+    assert len(explicit_atoms(_near_pair(1e-5))) == 2
+
+
+def test_distinctness_screen_finds_pairs_across_blocks(monkeypatch):
+    import finetti.definetti as definetti
+
+    monkeypatch.setattr(definetti, "SCREEN_ENTRIES", 64)  # blocks of 1-2 rows
+    states = list(default_atoms(2, 40, seed=8).atoms)
+    sigma = states[3].dens[0]
+    states.append(make_state(QUBIT, [sigma + np.diag([5e-9, -5e-9])]))
+    with pytest.raises(ValueError, match="atoms 3 and 40 are not distinct"):
+        explicit_atoms(states)
+    assert len(explicit_atoms(states[:40])) == 40
+
+
+def test_distinctness_screen_memory_is_blocked():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        atoms = default_atoms(2, 3000, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(atoms) == 3000
+    assert peak < 100 * 2**20

@@ -14,7 +14,7 @@ from finetti.fixtures import (
     measure_prepare_cone,
     qubit_state,
 )
-from finetti.exchange import check_exchangeable
+from finetti.exchange import check_exchangeable, iid_extend
 from finetti.serialize import (
     SchemaError,
     decode_atoms,
@@ -198,3 +198,34 @@ def test_float_values_survive_shortest_repr():
     vals = [0.1, 1 / 3, 0.8661890518199231, 2**-52]
     for v in vals:
         assert json.loads(json.dumps(v)) == v
+
+
+def test_non_finite_numbers_are_schema_errors():
+    for bad in (float("nan"), float("inf"), [0.5, float("-inf")], [float("nan"), 0.0]):
+        with pytest.raises(SchemaError, match="non-finite"):
+            decode_complex(bad, "x")
+    seq = {"space": ["H", "T"], "depth": 1, "measures": [[float("nan"), 1.0]]}
+    with pytest.raises(SchemaError, match="finite"):
+        decode_classical_seq(seq)
+    with pytest.raises(SchemaError, match="finite"):
+        decode_atoms({"space": [0, 1], "grid": [[float("nan"), 1.0]]})
+
+
+def test_decoded_levels_and_atoms_must_be_states():
+    doc = encode_exch_seq(iid_extend(qubit_state(np.diag([0.25, 0.75])), 2))
+    bad = json_round(doc)
+    bad["states"][0] = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+    with pytest.raises(SchemaError, match=r"states\[0\].*not positive"):
+        decode_exch_seq(bad)
+    bad = json_round(doc)
+    bad["states"][0][0][1] = [0.3, 0.0]
+    with pytest.raises(SchemaError, match="not Hermitian"):
+        decode_exch_seq(bad)
+    bad = json_round(doc)
+    bad["states"][1][0][0] = [1.0, 0.0]
+    with pytest.raises(SchemaError, match=r"states\[1\].*trace"):
+        decode_exch_seq(bad)
+    with pytest.raises(SchemaError, match=r"atoms\[0\].*trace"):
+        decode_atoms({"atoms": [[[1, 0], [0, 1]]]})
+    with pytest.raises(SchemaError, match=r"grid\[0\].*not positive"):
+        decode_atoms({"space": [0, 1], "grid": [[1.5, -0.5]]})
