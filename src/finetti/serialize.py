@@ -48,10 +48,31 @@ def encode_matrix(m: np.ndarray):
     return [[encode_complex(x) for x in row] for row in m.tolist()]
 
 
+def _numeric_matrix(rows, width: int) -> np.ndarray | None:
+    """``rows`` as a complex matrix in one numpy conversion, or None when it
+    needs the per-entry path: anything but finite numbers or ``[re, im]``
+    pairs of them, or ragged rows."""
+    try:
+        arr = np.array(rows)
+    except ValueError:
+        return None
+    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        return None
+    if arr.shape == (len(rows), width, 2):
+        # A C-ordered float pair [re, im] is the memory layout of one complex.
+        return arr.astype(float).view(complex)[..., 0]
+    if arr.shape == (len(rows), width):
+        return arr.astype(complex)
+    return None
+
+
 def decode_matrix(rows, path: str = "matrix") -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         _fail(path, "expected a non-empty list of rows")
     width = len(rows[0])
+    out = _numeric_matrix(rows, width)
+    if out is not None:
+        return out
     out = np.zeros((len(rows), width), dtype=complex)
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -290,6 +311,7 @@ def encode_report(report: ExchangeReport, kind: str) -> dict:
             {
                 "level": lv.level,
                 "symmetry": lv.symmetry,
+                "symmetry_bound": lv.symmetry_bound,
                 "worst_permutation": list(lv.worst_permutation)
                 if lv.worst_permutation is not None
                 else None,

@@ -115,7 +115,11 @@ def _active_set(
     aside until the point moves (the safeguards of Lawson & Hanson's NNLS).
     """
     n = a.shape[1]
-    a = np.asfortranarray(a)  # passive columns are gathered every step
+    if a.strides[0] != a.itemsize:
+        # Passive columns are gathered every step: make each one contiguous.
+        # A prefix view of a deeper moment store already has contiguous
+        # columns, though it is not Fortran-ordered, and is used as it is.
+        a = np.asfortranarray(a)
     # Singular values of a passive system below this are round-off.
     tol = EPS * max(a.shape) * float(np.sqrt(np.einsum("ij,ij->j", a, a).max()))
     x = x.copy()

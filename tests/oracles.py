@@ -7,6 +7,8 @@ two routes is evidence rather than tautology.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.optimize import nnls as scipy_nnls
 
@@ -27,6 +29,31 @@ def partial_trace_last_loops(rho: np.ndarray, d: int, m: int, n: int) -> np.ndar
                 acc += rho[i * drop + k, j * drop + k]
             out[i, j] = acc
     return out
+
+
+def exhaustive_symmetry_gap(rho: np.ndarray, d: int, n: int) -> float:
+    """``max_{sigma in S_n} ||rho - sigma.rho||`` over every permutation of the
+    n slots: the trace norm for a ``d**n`` square matrix, l1 for a ``d**n``
+    vector.  Each permuted basis index is built digit by digit."""
+    size = d**n
+    worst = 0.0
+    for sigma in itertools.permutations(range(n)):
+        source = [0] * size
+        for index in range(size):
+            digits = [(index // d ** (n - 1 - slot)) % d for slot in range(n)]
+            moved = [0] * n
+            for slot in range(n):
+                moved[sigma[slot]] = digits[slot]
+            target = 0
+            for digit in moved:
+                target = target * d + digit
+            source[target] = index
+        if rho.ndim == 1:
+            gap = float(np.abs(rho - rho[source]).sum())
+        else:
+            gap = float(np.linalg.svd(rho - rho[np.ix_(source, source)], compute_uv=False).sum())
+        worst = max(worst, gap)
+    return worst
 
 
 def scipy_simplex_lstsq(a: np.ndarray, b: np.ndarray, lam: float = 1e4):

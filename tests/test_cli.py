@@ -64,11 +64,24 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def _assert_verdict_from_bounds(doc):
+    tol = doc["tolerance"]
+    for lv in doc["levels"]:
+        assert lv["symmetry_bound"] >= lv["symmetry"]
+    assert doc["ok"] is all(
+        lv["symmetry_bound"] <= tol and lv["consistency"] <= tol for lv in doc["levels"]
+    )
+    assert doc["max_violation"] == max(
+        max(lv["symmetry_bound"], lv["consistency"]) for lv in doc["levels"]
+    )
+
+
 def test_check_ok(capsys, seq_file):
     code, doc = run_json(capsys, ["check", "--input", seq_file, "--format", "json"])
     assert code == EXIT_OK
     assert doc["ok"] is True
     assert len(doc["levels"]) == 3
+    _assert_verdict_from_bounds(doc)
 
 
 def test_check_text_output(capsys, seq_file):
@@ -76,6 +89,7 @@ def test_check_text_output(capsys, seq_file):
     out = capsys.readouterr().out
     assert "verdict: exchangeable" in out
     assert "level 3" in out
+    assert "(bound " in out
 
 
 def test_check_fails_on_asymmetric_sequence(capsys, tmp_path):
@@ -91,6 +105,27 @@ def test_check_fails_on_asymmetric_sequence(capsys, tmp_path):
     code, report = run_json(capsys, ["check", "--input", str(path), "--format", "json"])
     assert code == EXIT_INVARIANT
     assert report["ok"] is False
+    _assert_verdict_from_bounds(report)
+
+
+def test_check_verdict_uses_the_symmetry_bound(capsys, tmp_path):
+    # Level 3 pulled 1e-10 toward |001><001|: its adjacent gaps stay within
+    # the tolerance, but the bound over all of S_3 (3x the largest) does not.
+    seq = circuit1_sequence(3)
+    doc = encode_exch_seq(seq)
+    e = np.zeros((8, 8))
+    e[1, 1] = 1.0
+    level3 = (1 - 1e-10) * seq.level(3).dens[0] + 1e-10 * e
+    doc["states"][2] = [[[z.real, z.imag] for z in row] for row in level3.tolist()]
+    doc["tol"] = 3e-10
+    path = tmp_path / "near.json"
+    dump_document(doc, str(path))
+    code, report = run_json(capsys, ["check", "--input", str(path), "--format", "json"])
+    level = report["levels"][2]
+    assert level["symmetry"] <= report["tolerance"] < level["symmetry_bound"]
+    assert all(lv["consistency"] <= report["tolerance"] for lv in report["levels"])
+    assert code == EXIT_INVARIANT
+    _assert_verdict_from_bounds(report)
 
 
 def test_check_depth_truncation(capsys, seq_file):

@@ -457,6 +457,26 @@ def test_shallower_design_is_the_stored_prefix():
     assert np.array_equal(moment_matrix(deep_first, 3), moment_matrix(deep_first, 5)[:84])
 
 
+def test_reconstruct_from_a_deeper_store_matches_a_fresh_store(monkeypatch):
+    k = 200
+    deeper, fresh = default_atoms(2, k, seed=8), default_atoms(2, k, seed=8)
+    deeper.design(5)
+    copies = []
+    real_copy = np.asfortranarray
+    monkeypatch.setattr(np, "asfortranarray", lambda a: copies.append(a.shape) or real_copy(a))
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        w = np.zeros(k)
+        w[rng.choice(k, 4, replace=False)] = rng.dirichlet(np.ones(4))
+        seq = synthesize(Mixture(fresh, w), 3)
+        got, got_residual = reconstruct(seq, deeper)
+        ref, ref_residual = reconstruct(seq, fresh)
+        assert np.abs(got.weights - ref.weights).max() <= 1e-14
+        assert abs(got_residual - ref_residual) <= 1e-14
+    # The prefix view has contiguous columns, so no solve copies it.
+    assert (2 * (4 + 16 + 64), k) not in copies
+
+
 def test_stored_design_and_atoms_are_read_only():
     atoms = default_atoms(2, 4, seed=6)
     for arr in (atoms.design(3), moment_matrix(atoms, 3)):

@@ -1,12 +1,18 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from finetti.classical import (
+    ClassicalExchSeq,
+    FinDist,
+    check_exchangeable_measures,
+    tuple_space,
+)
 from finetti.cstar import Algebra, Element, eval_state, make_state
 from finetti.exchange import (
-    EXHAUSTIVE_LIMIT,
     ExchSeq,
     check_exchangeable,
     eta_sigma,
@@ -22,9 +28,18 @@ from finetti.exchange import (
     restrict_state,
     symmetry_probes,
 )
-from finetti.fixtures import QUBIT, qubit_state, singlet_sequence
+from finetti.fixtures import (
+    QUBIT,
+    circuit1_sequence,
+    circuit2_sequence,
+    coin_sequence,
+    equator_sequence,
+    qubit_state,
+    singlet_sequence,
+    unknown_qubit_sequence,
+)
 
-from oracles import partial_trace_last_loops
+from oracles import exhaustive_symmetry_gap, partial_trace_last_loops
 
 C3 = Algebra((1, 1, 1))
 
@@ -247,14 +262,31 @@ def test_injections_enumeration():
     assert list(injections(2, 2)) == [(0, 1), (1, 0)]
 
 
-def test_symmetry_probes_exhaustive_then_generators():
-    for n in range(2, EXHAUSTIVE_LIMIT + 1):
+def test_symmetry_probes_are_adjacent_transpositions():
+    assert symmetry_probes(0) == symmetry_probes(1) == []
+    for n in range(2, 8):
         probes = symmetry_probes(n)
-        assert len(probes) == math.factorial(n) - 1
-    gen = symmetry_probes(EXHAUSTIVE_LIMIT + 1)
-    assert len(gen) == EXHAUSTIVE_LIMIT  # adjacent transpositions only
-    for g in gen:
-        assert sorted(g) == list(range(EXHAUSTIVE_LIMIT + 1))
+        assert len(probes) == n - 1
+        for i, g in enumerate(probes):
+            assert sorted(g) == list(range(n))
+            assert g == tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+
+
+def test_check_exchangeable_permutes_each_level_once_per_adjacent_swap(monkeypatch):
+    import finetti.exchange as exchange
+
+    calls = []
+    real = exchange.eta_sigma
+
+    def counted(x, base, sigma):
+        calls.append(tuple(sigma))
+        return real(x, base, sigma)
+
+    monkeypatch.setattr(exchange, "eta_sigma", counted)
+    rho = random_density(2, np.random.default_rng(17))
+    report = check_exchangeable(iid_extend(make_state(QUBIT, (rho,)), 7))
+    assert report.ok
+    assert len(calls) == sum(n - 1 for n in range(2, 8)) == 21
 
 
 def test_adjacent_transpositions_generate_full_symmetry():
@@ -378,3 +410,77 @@ def test_injection_probes_cover_strict_and_full():
 def test_qubit_state_helper():
     s = qubit_state(np.diag([1.0, 0.0]))
     assert np.allclose(s.dens[0], np.diag([1.0, 0.0]))
+
+
+# --- the adjacent-swap bound against the exhaustive oracle -----------------------
+
+
+def _perturbed_tower(quantum, k, depth, rng, eps):
+    """Levels of a random mixture of iid towers, each level n >= 2 pulled
+    toward a product of distinct random factors, which breaks its symmetry:
+    matrices on a quantum base, probability vectors on a classical one."""
+    draw = (lambda: random_density(k, rng)) if quantum else (lambda: rng.dirichlet(np.ones(k)))
+    atoms, weights = [draw() for _ in range(3)], rng.dirichlet(np.ones(3))
+    levels = []
+    for n in range(1, depth + 1):
+        level = sum(w * functools.reduce(np.kron, [a] * n) for w, a in zip(weights, atoms))
+        if n >= 2:
+            level = (1 - eps) * level + eps * functools.reduce(np.kron, [draw() for _ in range(n)])
+        levels.append(level)
+    return levels
+
+
+def _report(k, levels, tol=1e-9):
+    if levels[0].ndim == 1:
+        space = [f"x{i}" for i in range(k)]
+        measures = [FinDist(tuple_space(space, n), p) for n, p in enumerate(levels, start=1)]
+        return check_exchangeable_measures(ClassicalExchSeq(space, len(levels), measures, tol))
+    base = Algebra((k,))
+    states = [make_state(power_algebra(base, n), (m,)) for n, m in enumerate(levels, start=1)]
+    return check_exchangeable(make_exch_seq(base, states, tol))
+
+
+@pytest.mark.parametrize(
+    "quantum, k, depth, seed",
+    [(True, 2, 5, 30), (True, 3, 4, 31), (False, 3, 5, 32), (True, 2, 6, 33)],
+    ids=["qubit", "qutrit", "classical", "qubit-6"],
+)
+def test_adjacent_gap_and_bound_bracket_the_exhaustive_gap(quantum, k, depth, seed):
+    rng = np.random.default_rng(seed)
+    for eps in (1e-3, 0.3):
+        levels = _perturbed_tower(quantum, k, depth, rng, eps)
+        report = _report(k, levels)
+        for n, lv in enumerate(report.levels, start=1):
+            exhaustive = exhaustive_symmetry_gap(levels[n - 1], k, n)
+            assert lv.symmetry <= exhaustive + 1e-12
+            assert exhaustive <= lv.symmetry_bound + 1e-12
+            assert lv.symmetry_bound == min(2.0, n * (n - 1) / 2 * lv.symmetry)
+        assert report.max_violation == max(
+            max(lv.symmetry_bound, lv.consistency) for lv in report.levels
+        )
+        assert not report.ok
+
+
+def _fixture_sequences():
+    return {
+        "circuit1": circuit1_sequence(3),
+        "circuit2": circuit2_sequence(3),
+        "equator": equator_sequence(4),
+        "unknown-qubit": unknown_qubit_sequence(4),
+        "singlet": singlet_sequence(),
+        "coin": coin_sequence(5),
+    }
+
+
+def test_verdict_is_no_looser_than_the_exhaustive_one_on_every_fixture():
+    for name, seq in _fixture_sequences().items():
+        if isinstance(seq, ClassicalExchSeq):
+            report = check_exchangeable_measures(seq)
+            k, levels = len(seq.space), [seq.level(n).probs for n in range(1, seq.depth + 1)]
+        else:
+            report = check_exchangeable(seq)
+            k, levels = seq.base.blocks[0], [seq.level(n).dens[0] for n in range(1, seq.depth + 1)]
+        assert report.ok, name
+        for n, lv in enumerate(report.levels, start=1):
+            assert exhaustive_symmetry_gap(levels[n - 1], k, n) <= seq.tolerance, (name, n)
+            assert lv.consistency <= seq.tolerance, (name, n)

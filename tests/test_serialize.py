@@ -69,6 +69,34 @@ def test_matrix_round_trip():
         decode_matrix([])
 
 
+def test_matrix_decodes_real_rows_and_mixed_number_kinds():
+    assert np.array_equal(decode_matrix([[1, 0.5], [0.5, 2]]), np.array([[1, 0.5], [0.5, 2]]))
+    assert np.array_equal(decode_matrix([[[1, 0], [0, -0.5]]]), np.array([[1, -0.5j]]))
+    mixed = decode_matrix([[1, [0.5, 1]], [[0.5, -1], 2]])  # bare and paired entries
+    assert np.array_equal(mixed, np.array([[1, 0.5 + 1j], [0.5 - 1j, 2]]))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1.5", "expected number"),
+        (["1.5", 0.0], "expected number"),
+        (None, "expected number"),
+        ([0.5, 0.0, 0.0], "expected number"),
+        ([float("nan"), 0.0], "non-finite"),
+        (float("inf"), "non-finite"),
+    ],
+    ids=["numeric-string", "numeric-string-in-pair", "null", "three-parts", "nan-pair", "inf"],
+)
+def test_matrix_entry_errors_name_the_entry(entry, message):
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    rows[1][0] = entry
+    with pytest.raises(SchemaError, match=rf"^m\[1\]\[0\]: {message}"):
+        decode_matrix(json_round(rows), "m")
+    with pytest.raises(SchemaError, match=r"^m: row 1 has length 1, expected 2"):
+        decode_matrix([[[1.0, 0.0], [0.0, 0.0]], [entry]], "m")
+
+
 def test_state_round_trip():
     s = make_state(QUBIT, (np.array([[0.5, 0.25j], [-0.25j, 0.5]]),))
     back = decode_state(json_round(encode_state(s)))
