@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cstar import Algebra, StateVec
-from .exchange import (
-    ExchSeq,
-    ExchangeReport,
-    LevelReport,
-    symmetry_probes,
-    worst_gap,
-)
+from .exchange import ExchSeq, ExchangeReport, _check_levels
 from .solvers import lead_first_lstsq
 
 PROB_TOL = 1e-9
@@ -120,7 +114,7 @@ def kleisli_compose(k1: Kernel, k2: Kernel) -> Kernel:
 # --- tuple spaces -------------------------------------------------------------
 
 def tuple_space(space, n: int) -> list:
-    return [tuple(t) for t in itertools.product(space, repeat=n)]
+    return list(itertools.product(space, repeat=n))
 
 
 def product_measure(mu: FinDist, n: int) -> FinDist:
@@ -131,31 +125,6 @@ def product_measure(mu: FinDist, n: int) -> FinDist:
     for _ in range(n - 1):
         p = np.kron(p, mu.probs)
     return FinDist(tuple_space(mu.space, n), p)
-
-
-def permute_tuples(dist: FinDist, k: int, sigma) -> FinDist:
-    """Pushforward along coordinate permutation (slot i moves to sigma[i])."""
-    n = len(sigma)
-    inv = [0] * n
-    for i, img in enumerate(sigma):
-        inv[img] = i
-    # The value at new slot sigma[i] came from old slot i, so the new prob
-    # tensor reads old axis sigma[j] at axis j.
-    p = dist.probs.reshape((k,) * n).transpose(tuple(inv)).ravel()
-    return FinDist(dist.space, p)
-
-
-def select_coordinates(dist: FinDist, k: int, tau, m: int) -> FinDist:
-    """Pushforward of a measure on X^m along ``(x_1..x_m) -> (x_tau(1)..x_tau(n))``."""
-    tau = tuple(int(i) for i in tau)
-    n = len(tau)
-    drop = tuple(j for j in range(m) if j not in set(tau))
-    t = dist.probs.reshape((k,) * m).transpose(tau + drop)
-    p = t.reshape(k**n, -1).sum(axis=1)
-    # Recover the single-coordinate label list from the level-m tuple space
-    # (lexicographic order lists first coordinates slowest, so order survives).
-    labels = list(dict.fromkeys(x[0] for x in dist.space))
-    return FinDist(tuple_space(labels, n), p)
 
 
 # --- exchangeable families ----------------------------------------------------
@@ -172,6 +141,8 @@ class ClassicalExchSeq:
     def __post_init__(self) -> None:
         if self.depth != len(self.measures):
             raise ValueError(f"depth {self.depth} != {len(self.measures)} measures")
+        if self.depth < 1:
+            raise ValueError("need at least one level")
         k = len(self.space)
         for n, mu in enumerate(self.measures, start=1):
             if len(mu.space) != k**n:
@@ -200,32 +171,11 @@ def synthesize_measures(
     return ClassicalExchSeq(space, depth, measures, tolerance)
 
 
-def _l1(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.abs(p - q).sum())
-
-
 def check_exchangeable_measures(seq: ClassicalExchSeq) -> ExchangeReport:
-    """Symmetry and marginal consistency in total variation (l1) norm.
-
-    The same rule as :func:`~finetti.exchange.check_exchangeable`: per level
-    the largest gap over the adjacent transpositions, its certified bound
-    over all of S_n, and the largest marginal gap; the verdict compares the
-    bound with the tolerance.
-    """
-    k = len(seq.space)
-    levels = []
-    for n in range(1, seq.depth + 1):
-        mu = seq.level(n)
-        sym, worst_sigma = worst_gap(
-            (sigma, _l1(mu.probs, permute_tuples(mu, k, sigma).probs))
-            for sigma in symmetry_probes(n)
-        )
-        cons, worst_m = worst_gap(
-            (m, _l1(mu.probs, seq.level(m).probs.reshape(k**n, -1).sum(axis=1)))
-            for m in range(n + 1, seq.depth + 1)
-        )
-        levels.append(LevelReport(n, sym, worst_sigma, cons, worst_m))
-    return ExchangeReport(seq.tolerance, levels)
+    """Symmetry and marginal consistency in total variation (l1) norm: the
+    check of :func:`~finetti.exchange.check_exchangeable`, run on the
+    probability vectors."""
+    return _check_levels([mu.probs for mu in seq.measures], len(seq.space), seq.tolerance)
 
 
 def classical_moment_matrix(grid: list[FinDist], depth: int) -> np.ndarray:
@@ -283,9 +233,6 @@ def encode_seq(seq: ClassicalExchSeq) -> ExchSeq:
     all-ones block algebra (lexicographic order matches slot order)."""
     base = encode_space(seq.space)
     states = [encode_dist(seq.level(n)) for n in range(1, seq.depth + 1)]
-    # The level-n tuple space encodes to the n-th tensor power of the base.
-    for n, s in enumerate(states, start=1):
-        assert s.algebra.n_blocks == base.n_blocks**n
     return ExchSeq(base, seq.depth, states, seq.tolerance)
 
 

@@ -327,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.tol is not None:
+            serialize.decode_tol(args.tol, "--tol")
         return args.func(args)
     except json.JSONDecodeError as e:
         print(f"parse error: {e.msg} at line {e.lineno} column {e.colno}", file=sys.stderr)

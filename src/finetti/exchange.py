@@ -14,17 +14,17 @@ the trailing slots).
 Bases may be single-block (full matrix algebra) or commutative (all-ones
 blocks); commutative levels are handled as probability/value vectors over
 tuples in lexicographic order, which matches the kron convention used on the
-quantum side.
+quantum side.  One check on packed levels serves quantum towers, classical
+measures and cone laws.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cstar import Algebra, Element, StateVec, state_distance
+from .cstar import Algebra, Element, StateVec, trace_norm
 
 DEFAULT_SEQ_TOL = 1e-9
 
@@ -93,13 +93,10 @@ def _slot_count(base: Algebra) -> int:
 
 # --- index actions ----------------------------------------------------------
 
-def _permute_axes(base: Algebra, arr: np.ndarray, sigma) -> np.ndarray:
-    n = len(sigma)
-    d = _slot_count(base)
-    inv = [0] * n
-    for i, img in enumerate(sigma):
-        inv[img] = i
-    if arr.ndim == 2:  # quantum: row and column slot groups move together
+def _permute_axes(d: int, arr: np.ndarray, sigma) -> np.ndarray:
+    """Permute the slots of a packed level with ``d`` values per slot."""
+    n, inv = len(sigma), np.argsort(sigma)
+    if arr.ndim == 2:  # a matrix: row and column slot groups move together
         t = arr.reshape((d,) * (2 * n))
         t = t.transpose(tuple(inv) + tuple(n + j for j in inv))
         return t.reshape(d**n, d**n)
@@ -118,7 +115,7 @@ def eta_sigma(x, base: Algebra, sigma):
     """Permute tensor slots: the factor in slot ``i`` moves to slot ``sigma[i]``."""
     n = level_of(base, x.algebra)
     sigma = _check_sigma(sigma, n)
-    out = _permute_axes(base, _pack(base, x), sigma)
+    out = _permute_axes(_slot_count(base), _pack(base, x), sigma)
     return _unpack(base, n, out, type(x))
 
 
@@ -145,14 +142,16 @@ def restrict_state(s: StateVec, base: Algebra, n: int) -> StateVec:
         raise ValueError(f"cannot restrict level {m} to level {n}")
     if n == m:
         return s
-    arr = _pack(base, s)
-    d = _slot_count(base)
-    keep, drop = d**n, d ** (m - n)
+    return _unpack(base, n, _restrict(_pack(base, s), _slot_count(base), n), StateVec)
+
+
+def _restrict(arr: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Partial trace of a packed level over its trailing slots down to level ``n``."""
+    keep = d**n
     if arr.ndim == 2:
-        out = np.einsum("abcb->ac", arr.reshape(keep, drop, keep, drop))
-    else:
-        out = arr.reshape(keep, drop).sum(axis=1)
-    return _unpack(base, n, out, StateVec)
+        drop = arr.shape[0] // keep
+        return np.einsum("abcb->ac", arr.reshape(keep, drop, keep, drop))
+    return arr.reshape(keep, -1).sum(axis=1)
 
 
 def _completion(tau, m: int) -> tuple[int, ...]:
@@ -180,46 +179,15 @@ def eta_tau(a: Element, base: Algebra, tau, m: int) -> Element:
 
 def pullback_state(s: StateVec, base: Algebra, tau, n: int) -> StateVec:
     """Dual of ``eta_tau`` on states: eval(pullback(s), a) = eval(s, eta_tau(a))."""
-    m = level_of(base, s.algebra)
-    pi = _completion(tau, m)
-    inv = [0] * m
-    for i, img in enumerate(pi):
-        inv[img] = i
+    inv = np.argsort(_completion(tau, level_of(base, s.algebra)))
     return restrict_state(eta_sigma(s, base, inv), base, n)
 
 
 # --- permutation probe sets -------------------------------------------------
 
-EXHAUSTIVE_LIMIT = 6
-
-
 def symmetry_probes(n: int) -> list[tuple[int, ...]]:
     """The n - 1 adjacent transpositions of n slots, which generate S_n."""
-    probes = []
-    for i in range(n - 1):
-        t = list(range(n))
-        t[i], t[i + 1] = t[i + 1], t[i]
-        probes.append(tuple(t))
-    return probes
-
-
-def injections(n: int, m: int):
-    """All injections of n slots into m slots (as image tuples)."""
-    return itertools.permutations(range(m), n)
-
-
-def injection_probes(n: int, m: int) -> list[tuple[int, ...]]:
-    """Injections to test: exhaustive for m <= 6, else inclusion plus the
-    injections obtained by one adjacent swap of the inclusion's image."""
-    if m <= EXHAUSTIVE_LIMIT:
-        return list(injections(n, m))
-    inclusion = tuple(range(n))
-    probes = [inclusion]
-    for i in range(m - 1):
-        img = [j for j in inclusion]
-        swapped = {i: i + 1, i + 1: i}
-        probes.append(tuple(swapped.get(j, j) for j in img))
-    return list(dict.fromkeys(probes))
+    return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)]
 
 
 # --- exchangeable sequences --------------------------------------------------
@@ -305,10 +273,7 @@ class ExchangeReport:
 
     @property
     def max_violation(self) -> float:
-        worst = 0.0
-        for lv in self.levels:
-            worst = max(worst, lv.symmetry_bound, lv.consistency)
-        return worst
+        return max(max(lv.symmetry_bound, lv.consistency) for lv in self.levels)
 
 
 def worst_gap(gaps) -> tuple[float, object]:
@@ -332,16 +297,30 @@ def check_exchangeable(seq: ExchSeq) -> ExchangeReport:
     witnessing source level).  The verdict compares the bound, not the
     adjacent gap, with the tolerance.
     """
-    levels = []
-    for n in range(1, seq.depth + 1):
-        rho = seq.level(n)
+    levels = [_pack(seq.base, s) for s in seq.states]
+    return _check_levels(levels, _slot_count(seq.base), seq.tolerance)
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm of ``a - b``: l1 for packed vectors (diagonals)."""
+    if a.ndim == 2:
+        return trace_norm(a - b)
+    return float(np.abs(a - b).sum())
+
+
+def _check_levels(levels, d: int, tolerance: float) -> ExchangeReport:
+    """The exchangeability check on packed levels ``1..N`` with ``d`` values
+    per slot: matrices for a single-block base, vectors for a commutative
+    one.  Every exchangeability verdict in the package comes from here."""
+    reports = []
+    for n, rho in enumerate(levels, start=1):
         sym, worst_sigma = worst_gap(
-            (sigma, state_distance(rho, eta_sigma(rho, seq.base, sigma)))
+            (sigma, _distance(rho, _permute_axes(d, rho, sigma)))
             for sigma in symmetry_probes(n)
         )
         cons, worst_m = worst_gap(
-            (m, state_distance(rho, restrict_state(seq.level(m), seq.base, n)))
-            for m in range(n + 1, seq.depth + 1)
+            (m, _distance(rho, _restrict(levels[m - 1], d, n)))
+            for m in range(n + 1, len(levels) + 1)
         )
-        levels.append(LevelReport(n, sym, worst_sigma, cons, worst_m))
-    return ExchangeReport(seq.tolerance, levels)
+        reports.append(LevelReport(n, sym, worst_sigma, cons, worst_m))
+    return ExchangeReport(tolerance, reports)

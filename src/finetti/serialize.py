@@ -8,7 +8,7 @@ round-trip repr, so ``decode(encode(x))`` is exact.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -38,9 +38,30 @@ def decode_complex(v, path: str = "value") -> complex:
     parts = v if isinstance(v, list) and len(v) == 2 else [v]
     if not all(isinstance(x, (int, float)) for x in parts):
         _fail(path, f"expected number or [re, im] pair, got {v!r}")
-    if not all(math.isfinite(x) for x in parts):
+    if not all(abs(x) <= sys.float_info.max for x in parts):  # NaN compares False
         _fail(path, f"non-finite entry {v!r}")
     return complex(*parts)
+
+
+def decode_reals(row, path: str = "vector") -> np.ndarray:
+    """A list of JSON numbers as a float vector; strings, booleans and null
+    are not numbers here."""
+    if not isinstance(row, list):
+        _fail(path, "expected a list of numbers")
+    if not set(map(type, row)) <= {int, float}:
+        i, v = next((i, v) for i, v in enumerate(row) if type(v) not in (int, float))
+        _fail(f"{path}[{i}]", f"expected a number, got {v!r}")
+    try:
+        return np.array(row, dtype=float)
+    except OverflowError:
+        _fail(path, "non-finite entry: an integer beyond the float range")
+
+
+def decode_tol(value, path: str = "tol") -> float:
+    """A tolerance: a finite real number >= 0."""
+    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+        _fail(path, f"tolerance must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def encode_matrix(m: np.ndarray):
@@ -161,7 +182,7 @@ def decode_exch_seq(doc, path: str = "sequence") -> ExchSeq:
     mats = _require(doc, "states", path)
     if not isinstance(mats, list) or len(mats) != depth:
         _fail(path, f"'states' must list {depth} matrices")
-    tol = doc.get("tol", 1e-9)
+    tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
     base = Algebra((d,))
     states = []
     for n, m in enumerate(mats, start=1):
@@ -170,7 +191,7 @@ def decode_exch_seq(doc, path: str = "sequence") -> ExchSeq:
             _fail(path, f"level {n} matrix is {mat.shape}, expected {(d**n, d**n)}")
         states.append(_decode_density(Algebra((d**n,)), [mat], f"{path}.states[{n - 1}]"))
     try:
-        return ExchSeq(base, depth, states, float(tol))
+        return ExchSeq(base, depth, states, tol)
     except ValueError as e:
         _fail(path, str(e))
 
@@ -192,15 +213,16 @@ def decode_classical_seq(doc, path: str = "sequence") -> ClassicalExchSeq:
     rows = _require(doc, "measures", path)
     if not isinstance(rows, list) or len(rows) != depth:
         _fail(path, f"'measures' must list {depth} probability vectors")
-    tol = float(doc.get("tol", 1e-9))
+    tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
     from .classical import tuple_space
 
     measures = []
     for n, row in enumerate(rows, start=1):
         if not isinstance(row, list) or len(row) != len(space) ** n:
             _fail(path, f"level {n} must have {len(space) ** n} probabilities")
+        probs = decode_reals(row, f"{path}.measures[{n - 1}]")
         try:
-            measures.append(FinDist(tuple_space(space, n), np.asarray(row, dtype=float)))
+            measures.append(FinDist(tuple_space(space, n), probs))
         except ValueError as e:
             _fail(f"{path}.measures[{n - 1}]", str(e))
     try:
@@ -259,9 +281,9 @@ def encode_mixture(mix: Mixture) -> dict:
 
 def decode_mixture(doc, path: str = "mixture") -> Mixture:
     atoms = decode_atoms(doc, path)
-    weights = _require(doc, "weights", path)
+    weights = decode_reals(_require(doc, "weights", path), f"{path}.weights")
     try:
-        return Mixture(atoms, np.asarray(weights, dtype=float))
+        return Mixture(atoms, weights)
     except ValueError as e:
         _fail(path, str(e))
 
@@ -281,7 +303,7 @@ def decode_cone(doc, path: str = "cone") -> Cone:
     chans = _require(doc, "channels", path)
     if not isinstance(chans, list) or len(chans) != depth:
         _fail(path, f"'channels' must list {depth} maps")
-    tol = float(doc.get("tol", 1e-9))
+    tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
     channels = [decode_choi(c, f"{path}.channels[{i}]") for i, c in enumerate(chans)]
     try:
         return Cone(apex, depth, channels, tol)

@@ -8,6 +8,7 @@ two routes is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+import string
 
 import numpy as np
 from scipy.optimize import nnls as scipy_nnls
@@ -53,6 +54,49 @@ def exhaustive_symmetry_gap(rho: np.ndarray, d: int, n: int) -> float:
         else:
             gap = float(np.linalg.svd(rho - rho[np.ix_(source, source)], compute_uv=False).sum())
         worst = max(worst, gap)
+    return worst
+
+
+def injections(n: int, m: int):
+    """Every injection of n slots into m slots, as image tuples."""
+    return itertools.permutations(range(m), n)
+
+
+def pullback_by_contraction(rho: np.ndarray, d: int, tau, m: int) -> np.ndarray:
+    """The marginal of a level-m array on the slots ``tau``, slot ``i`` of the
+    result read from slot ``tau[i]``: one einsum that names every slot, the
+    slots outside ``tau`` shared between rows and columns (summed out of a
+    vector)."""
+    letters = iter(string.ascii_letters)
+    rows = [next(letters) for _ in range(m)]
+    if rho.ndim == 1:
+        spec = "".join(rows) + "->" + "".join(rows[j] for j in tau)
+        return np.einsum(spec, rho.reshape((d,) * m)).ravel()
+    cols = [next(letters) if j in tau else rows[j] for j in range(m)]
+    out = "".join(rows[j] for j in tau) + "".join(cols[j] for j in tau)
+    size = d ** len(tau)
+    return np.einsum("".join(rows + cols) + "->" + out, rho.reshape((d,) * (2 * m))).reshape(
+        size, size
+    )
+
+
+def exhaustive_cone_gap(sequences, d: int) -> float:
+    """``max ||pullback_tau(rho_m) - rho_n||`` over the given sequences (one
+    list of levels ``rho_1..rho_N`` per apex probe state), over n <= m <= N
+    and every injection ``tau`` of n slots into m: the trace norm by SVD for
+    matrices, l1 for vectors."""
+    worst = 0.0
+    for levels in sequences:
+        depth = len(levels)
+        for m in range(1, depth + 1):
+            for n in range(1, m + 1):
+                for tau in injections(n, m):
+                    diff = pullback_by_contraction(levels[m - 1], d, tau, m) - levels[n - 1]
+                    if diff.ndim == 1:
+                        gap = float(np.abs(diff).sum())
+                    else:
+                        gap = float(np.linalg.svd(diff, compute_uv=False).sum())
+                    worst = max(worst, gap)
     return worst
 
 

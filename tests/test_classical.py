@@ -17,10 +17,8 @@ from finetti.classical import (
     hs_reconstruct,
     iid_measures,
     kleisli_compose,
-    permute_tuples,
     product_measure,
     pushforward,
-    select_coordinates,
     synthesize_measures,
     tuple_space,
 )
@@ -161,35 +159,38 @@ def test_product_measure_biased_coin():
     assert triple.probs[-1] == pytest.approx(0.75**3)
 
 
-def test_permute_tuples_moves_coordinates():
+def _coordinates(tau):
+    """The coordinate map ``(x_1..x_m) -> (x_tau(1)..x_tau(n))`` on tuples."""
+    return lambda x: tuple(x[j] for j in tau)
+
+
+def test_pushforward_along_a_coordinate_swap_moves_coordinates():
     mu = FinDist(["H", "T"], np.array([0.25, 0.75]))
     nu = FinDist(["H", "T"], np.array([0.6, 0.4]))
-    joint = FinDist(
-        tuple_space(["H", "T"], 2), np.kron(mu.probs, nu.probs)
-    )
-    swapped = permute_tuples(joint, 2, (1, 0))
+    joint = FinDist(tuple_space(["H", "T"], 2), np.kron(mu.probs, nu.probs))
+    swapped = pushforward(_coordinates((1, 0)), joint, joint.space)
     expected = np.kron(nu.probs, mu.probs)
     assert np.allclose(swapped.probs, expected, atol=1e-15)
 
 
-def test_select_coordinates_marginalizes():
+def test_pushforward_along_a_coordinate_selection_marginalizes():
     mu = FinDist(["H", "T"], np.array([0.25, 0.75]))
     nu = FinDist(["H", "T"], np.array([0.6, 0.4]))
     joint = FinDist(tuple_space(["H", "T"], 2), np.kron(mu.probs, nu.probs))
-    first = select_coordinates(joint, 2, (0,), 2)
+    singles = tuple_space(["H", "T"], 1)
+    first = pushforward(_coordinates((0,)), joint, singles)
     assert np.allclose(first.probs, mu.probs, atol=1e-15)
-    second = select_coordinates(joint, 2, (1,), 2)
+    second = pushforward(_coordinates((1,)), joint, singles)
     assert np.allclose(second.probs, nu.probs, atol=1e-15)
-    flipped = select_coordinates(joint, 2, (1, 0), 2)
+    flipped = pushforward(_coordinates((1, 0)), joint, joint.space)
     assert np.allclose(flipped.probs, np.kron(nu.probs, mu.probs), atol=1e-15)
 
 
-def test_select_coordinates_consistent_with_products():
+def test_pushforward_along_a_coordinate_selection_of_a_product_is_a_product():
     rng = np.random.default_rng(4)
     mu = random_dist(ABC, rng)
     big = product_measure(mu, 4)
-    tau = (3, 1)
-    out = select_coordinates(big, 3, tau, 4)
+    out = pushforward(_coordinates((3, 1)), big, tuple_space(ABC, 2))
     assert np.allclose(out.probs, product_measure(mu, 2).probs, atol=1e-14)
 
 

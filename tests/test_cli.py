@@ -370,7 +370,21 @@ def _malformed_docs():
     inf["states"][0][1][1] = float("inf")
     non_positive = _iid_tower_doc(np.diag([1.5, -0.5]), 3)
     coin_nan = {"space": ["H", "T"], "depth": 1, "measures": [[float("nan"), 1.0]]}
-    return {"nan": nan, "inf": inf, "non-positive": non_positive, "coin-nan": coin_nan}
+    coin_string = {"space": ["H", "T"], "depth": 1, "measures": [["0.5", "0.5"]]}
+    docs = {
+        "nan": nan,
+        "inf": inf,
+        "non-positive": non_positive,
+        "coin-nan": coin_nan,
+        "coin-numeric-string": coin_string,
+    }
+    # A malformed tolerance, on a quantum tower and on a classical one whose
+    # consistency gap (0.8) only an infinite tolerance would let through.
+    gap = {"space": ["H", "T"], "depth": 2, "measures": [[0.9, 0.1], [0.25, 0.25, 0.25, 0.25]]}
+    for name, tol in [("null", None), ("bool", True), ("string", "inf"), ("negative", -1)]:
+        docs[f"tol-{name}"] = dict(_iid_tower_doc(np.eye(2) / 2, 2), tol=tol)
+        docs[f"coin-tol-{name}"] = dict(gap, tol=tol)
+    return docs
 
 
 @pytest.mark.parametrize("name", sorted(_malformed_docs()))
@@ -383,6 +397,16 @@ def test_malformed_numbers_exit_2_with_one_line(capsys, tmp_path, name, command)
     assert captured.out == ""
     assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_tol_option_out_of_range_exits_2(capsys, seq_file, coin_file, cone_file):
+    for path, command in ((seq_file, "check"), (coin_file, "reconstruct"), (cone_file, "factor")):
+        for tol in ("-1", "nan", "inf"):
+            assert main([command, "--input", path, "--tol", tol]) == EXIT_PARSE, (command, tol)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("invalid input: --tol") and captured.err.count("\n") == 1
+    assert main(["check", "--input", seq_file, "--tol", "0"]) == EXIT_OK
 
 
 def test_atom_count_out_of_range_exits_2(capsys, seq_file, coin_file, cone_file):

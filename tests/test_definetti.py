@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,12 @@ from finetti.fixtures import (
 )
 from finetti.solvers import realify
 
-from oracles import kron_moment_matrix, scipy_lead_weighted_lstsq, scipy_simplex_lstsq
+from oracles import (
+    exhaustive_cone_gap,
+    kron_moment_matrix,
+    scipy_lead_weighted_lstsq,
+    scipy_simplex_lstsq,
+)
 
 
 def test_random_state_generators_are_valid_and_seeded():
@@ -286,17 +293,127 @@ def test_check_cone_accepts_lawful_cone():
 def test_check_cone_flags_broken_cone():
     report = check_cone(broken_cone())
     assert not report.ok
-    assert report.violations
-    v = report.violations[0]
-    assert v.gap > 1e-3
-    assert v.level_to >= v.level_from  # pullback flows from the higher level
-    assert len(v.tau) == v.level_from
+    assert len(report.probes) == QUBIT.dim  # one sequence report per probe state
+    for probe in report.probes:
+        assert not probe.ok
+        lv = probe.levels[0]
+        # diag(0.9, 0.1) against the marginal I/2 of level 2, in trace norm.
+        assert lv.consistency == pytest.approx(0.8, abs=1e-12)
+        assert lv.worst_source == 2  # the gap flows from the higher level
+    assert report.max_violation == pytest.approx(0.8, abs=1e-12)
 
 
 def test_constant_cone_is_lawful():
     sigma = qubit_state(np.diag([0.3, 0.7]))
     cone = constant_cone(sigma, depth=3)
     assert check_cone(cone).ok
+
+
+def _perturbed_qubit_tower(depth, rng, eps):
+    """Levels of a random mixture of qubit iid towers, each level n >= 2
+    pulled toward a product of distinct random factors."""
+    atoms = [random_mixed_state(2, rng).dens[0] for _ in range(3)]
+    weights = rng.dirichlet(np.ones(3))
+    levels = []
+    for n in range(1, depth + 1):
+        level = sum(w * _kron_power(a, n) for w, a in zip(weights, atoms))
+        if n >= 2:
+            noise = [random_mixed_state(2, rng).dens[0] for _ in range(n)]
+            level = (1 - eps) * level + eps * functools.reduce(np.kron, noise)
+        levels.append(level)
+    return levels
+
+
+def _kron_power(a, n):
+    return functools.reduce(np.kron, [a] * n)
+
+
+def _measure_prepare(apex, towers, depth):
+    """Measure the apex in its standard basis and emit tower ``b`` on
+    outcome ``b``: ``Phi_n(x) = sum_b x_bb rho^b_n``."""
+    channels = []
+    for n in range(1, depth + 1):
+        outs = [t[n - 1] for t in towers]
+        fn = lambda x, outs=outs: sum(x[b, b] * out for b, out in enumerate(outs))  # noqa: E731
+        channels.append(choi_from_function(apex, power_algebra(QUBIT, n), fn, SCHRODINGER))
+    return Cone(apex, depth, channels, 1e-9)
+
+
+def _probe_levels(cone):
+    """Levels of the sequence the cone induces at each probe state."""
+    probes, _ = probe_states(cone.apex)
+    return [[cone.at(k, n).dens[0] for n in range(1, cone.depth + 1)] for k in probes]
+
+
+@pytest.mark.parametrize(
+    "apex",
+    [Algebra((1,)), Algebra((1, 1)), QUBIT, Algebra((3,))],
+    ids=["A(1)", "A(1+1)", "A(2)", "A(3)"],
+)
+def test_cone_bound_covers_every_injection(apex):
+    rng = np.random.default_rng(40 + apex.dim)
+    for depth in range(2, 6):
+        for eps in (1e-3, 0.3):
+            towers = [_perturbed_qubit_tower(depth, rng, eps) for _ in range(apex.rep_dim)]
+            cone = _measure_prepare(apex, towers, depth)
+            report = check_cone(cone)
+            exhaustive = exhaustive_cone_gap(_probe_levels(cone), 2)
+            assert 0 < exhaustive <= report.max_violation + 1e-12, (depth, eps)
+            assert not report.ok
+            bounds = [
+                max(lv.symmetry_bound for lv in p.levels) + max(lv.consistency for lv in p.levels)
+                for p in report.probes
+            ]
+            assert report.max_violation == min(2.0, max(bounds))
+
+
+def test_cone_verdict_implies_the_exhaustive_verdict_on_every_fixture_cone():
+    sigma = qubit_state(np.diag([0.3, 0.7]))
+    cones = {
+        "measure-prepare": measure_prepare_cone(3),
+        "constant-A(2)": constant_cone(sigma, 3),
+        "constant-A(1+1)": constant_cone(sigma, 4, Algebra((1, 1))),
+        "broken-d2": broken_cone(2),
+        "broken-d4": broken_cone(4),
+    }
+    verdicts = {}
+    for name, cone in cones.items():
+        report = check_cone(cone)
+        exhaustive = exhaustive_cone_gap(_probe_levels(cone), 2)
+        assert exhaustive <= report.max_violation + 1e-12, name
+        if report.ok:
+            assert exhaustive <= cone.tolerance, name
+        verdicts[name] = report.ok
+    assert verdicts == {
+        "measure-prepare": True,
+        "constant-A(2)": True,
+        "constant-A(1+1)": True,
+        "broken-d2": False,
+        "broken-d4": False,
+    }
+
+
+def test_trivial_apex_cone_reports_the_levels_of_its_sequence():
+    trivial = Algebra((1,))
+    sequences = {
+        "circuit1": circuit1_sequence(3),
+        "circuit2": circuit2_sequence(3),
+        "equator": equator_sequence(4),
+        "unknown-qubit": unknown_qubit_sequence(4),
+        "singlet": singlet_sequence(),
+    }
+    for name, seq in sequences.items():
+        channels = [
+            choi_from_function(
+                trivial,
+                power_algebra(QUBIT, n),
+                lambda x, rho=seq.level(n).dens[0]: x[0, 0] * rho,
+                SCHRODINGER,
+            )
+            for n in range(1, seq.depth + 1)
+        ]
+        report = check_cone(Cone(trivial, seq.depth, channels, seq.tolerance))
+        assert report.probes == [check_exchangeable(seq)], name
 
 
 def test_mediating_map_on_measure_prepare_cone():

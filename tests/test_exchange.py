@@ -18,8 +18,6 @@ from finetti.exchange import (
     eta_sigma,
     eta_tau,
     iid_extend,
-    injection_probes,
-    injections,
     iota_embed,
     level_of,
     make_exch_seq,
@@ -39,7 +37,12 @@ from finetti.fixtures import (
     unknown_qubit_sequence,
 )
 
-from oracles import exhaustive_symmetry_gap, partial_trace_last_loops
+from oracles import (
+    exhaustive_symmetry_gap,
+    injections,
+    partial_trace_last_loops,
+    pullback_by_contraction,
+)
 
 C3 = Algebra((1, 1, 1))
 
@@ -257,9 +260,31 @@ def test_pullback_of_iid_is_iid():
 
 
 def test_injections_enumeration():
+    # The cone oracle's enumeration: strict injections and bijections alike.
     assert list(injections(1, 2)) == [(0,), (1,)]
     assert len(list(injections(2, 4))) == 12  # 4!/2!
     assert list(injections(2, 2)) == [(0, 1), (1, 0)]
+    strict = list(injections(2, 3))
+    assert len(strict) == 6
+    assert all(len(t) == 2 and max(t) < 3 for t in strict)
+    assert set(injections(3, 3)) == set(itertools.permutations(range(3)))
+
+
+def test_oracle_pullback_matches_pullback_state():
+    rng = np.random.default_rng(18)
+    for base in (QUBIT, C3):
+        d = base.blocks[0] if base.n_blocks == 1 else base.n_blocks
+        for m in (1, 2, 3):
+            s = random_level(base, m, rng)
+            packed = s.dens[0] if base.n_blocks == 1 else np.array([x[0, 0] for x in s.dens])
+            for n in range(1, m + 1):
+                for tau in injections(n, m):
+                    got = pullback_state(s, base, tau, n)
+                    ref = pullback_by_contraction(packed, d, tau, m)
+                    if base.n_blocks == 1:
+                        assert np.allclose(got.dens[0], ref, atol=1e-14), (m, tau)
+                    else:
+                        assert np.allclose([x[0, 0] for x in got.dens], ref, atol=1e-14)
 
 
 def test_symmetry_probes_are_adjacent_transpositions():
@@ -276,13 +301,13 @@ def test_check_exchangeable_permutes_each_level_once_per_adjacent_swap(monkeypat
     import finetti.exchange as exchange
 
     calls = []
-    real = exchange.eta_sigma
+    real = exchange._permute_axes
 
-    def counted(x, base, sigma):
+    def counted(d, arr, sigma):
         calls.append(tuple(sigma))
-        return real(x, base, sigma)
+        return real(d, arr, sigma)
 
-    monkeypatch.setattr(exchange, "eta_sigma", counted)
+    monkeypatch.setattr(exchange, "_permute_axes", counted)
     rho = random_density(2, np.random.default_rng(17))
     report = check_exchangeable(iid_extend(make_state(QUBIT, (rho,)), 7))
     assert report.ok
@@ -398,13 +423,6 @@ def test_check_exchangeable_classical_base():
     report = check_exchangeable(seq)
     assert report.ok
     assert report.max_violation < 1e-14
-
-
-def test_injection_probes_cover_strict_and_full():
-    probes = injection_probes(2, 3)
-    assert len(probes) == 6
-    assert all(len(t) == 2 and max(t) < 3 for t in probes)
-    assert set(injection_probes(3, 3)) == set(itertools.permutations(range(3)))
 
 
 def test_qubit_state_helper():

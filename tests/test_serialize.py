@@ -85,8 +85,17 @@ def test_matrix_decodes_real_rows_and_mixed_number_kinds():
         ([0.5, 0.0, 0.0], "expected number"),
         ([float("nan"), 0.0], "non-finite"),
         (float("inf"), "non-finite"),
+        (10**400, "non-finite"),
     ],
-    ids=["numeric-string", "numeric-string-in-pair", "null", "three-parts", "nan-pair", "inf"],
+    ids=[
+        "numeric-string",
+        "numeric-string-in-pair",
+        "null",
+        "three-parts",
+        "nan-pair",
+        "inf",
+        "beyond-float-range",
+    ],
 )
 def test_matrix_entry_errors_name_the_entry(entry, message):
     rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -138,6 +147,13 @@ def test_exch_seq_schema_errors():
         decode_exch_seq({"depth": 1, "states": []})
     with pytest.raises(SchemaError, match="states"):
         decode_exch_seq({"base_dim": 2, "depth": 2, "states": [[[1, 0], [0, 0]]]})
+
+
+def test_sequences_need_at_least_one_level():
+    with pytest.raises(SchemaError, match="at least one level"):
+        decode_exch_seq({"base_dim": 2, "depth": 0, "states": []})
+    with pytest.raises(SchemaError, match="at least one level"):
+        decode_classical_seq({"space": ["H", "T"], "depth": 0, "measures": []})
 
 
 def test_classical_seq_round_trip():
@@ -237,6 +253,36 @@ def test_non_finite_numbers_are_schema_errors():
         decode_classical_seq(seq)
     with pytest.raises(SchemaError, match="finite"):
         decode_atoms({"space": [0, 1], "grid": [[float("nan"), 1.0]]})
+    seq["measures"] = [[10**400, 1.0]]
+    with pytest.raises(SchemaError, match="non-finite"):
+        decode_classical_seq(json_round(seq))
+
+
+@pytest.mark.parametrize(
+    "entry", ["0.5", None, True, [0.5]], ids=["numeric-string", "null", "bool", "list"]
+)
+def test_real_entries_must_be_numbers(entry):
+    seq = {"space": ["H", "T"], "depth": 1, "measures": [[entry, 0.5]]}
+    with pytest.raises(SchemaError, match=r"^sequence\.measures\[0\]\[0\]: expected a number"):
+        decode_classical_seq(seq)
+    doc = encode_mixture(Mixture(default_atoms(2, 2, seed=1), np.array([0.5, 0.5])))
+    doc["weights"] = [0.5, entry]
+    with pytest.raises(SchemaError, match=r"^mixture\.weights\[1\]: expected a number"):
+        decode_mixture(json_round(doc))
+
+
+def test_tol_must_be_a_finite_number_at_least_0():
+    docs = {
+        decode_exch_seq: encode_exch_seq(circuit1_sequence(2)),
+        decode_classical_seq: encode_classical_seq(coin_sequence(depth=2)),
+        decode_cone: encode_cone(measure_prepare_cone(2)),
+    }
+    for decode, doc in docs.items():
+        for bad in (None, True, "inf", "1e-9", -1, -1e-12, float("nan"), float("inf"), 10**400):
+            with pytest.raises(SchemaError, match=r"\.tol: tolerance must be a finite number"):
+                decode(dict(json_round(doc), tol=bad))
+        for good in (0, 0.0, 1, 1e-6):
+            assert decode(dict(json_round(doc), tol=good)).tolerance == good
 
 
 def test_decoded_levels_and_atoms_must_be_states():
