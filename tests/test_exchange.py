@@ -260,10 +260,14 @@ def test_pullback_of_iid_is_iid():
 
 
 def test_injections_enumeration():
-    # The cone oracle's enumeration: strict injections and bijections alike.
+    # The cone oracle's enumeration of injections n -> m.
     assert list(injections(1, 2)) == [(0,), (1,)]
     assert len(list(injections(2, 4))) == 12  # 4!/2!
     assert list(injections(2, 2)) == [(0, 1), (1, 0)]
+
+
+def test_injection_probes_cover_strict_and_full():
+    # Strict injections and full bijections alike, as the cone oracle probes them.
     strict = list(injections(2, 3))
     assert len(strict) == 6
     assert all(len(t) == 2 and max(t) < 3 for t in strict)
