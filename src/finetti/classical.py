@@ -6,9 +6,10 @@ product measure a Kronecker power and keeps every index manipulation a
 reshape/transpose, mirroring the quantum tower.
 
 ``hs_reconstruct`` recovers a mixing measure over a grid of candidate biases
-from an exchangeable family of tuple measures; ``encode_*`` helpers re-express
-the same data over all-ones block algebras so the operator-algebra route can
-be run on it unchanged.
+from an exchangeable family of tuple measures, on the design of
+:mod:`finetti.symmetric` (the diagonal case: coordinates are type counts);
+``encode_*`` helpers re-express the same data over all-ones block algebras
+so the operator-algebra route can be run on it unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import symmetric
 from .cstar import Algebra, StateVec
 from .exchange import ExchSeq, ExchangeReport, _check_levels
 from .solvers import lead_first_lstsq
@@ -179,6 +181,8 @@ def check_exchangeable_measures(seq: ClassicalExchSeq) -> ExchangeReport:
 
 
 def classical_moment_matrix(grid: list[FinDist], depth: int) -> np.ndarray:
+    """Stacked product measures, one column per grid point.  No
+    reconstruction needs it: they run on :func:`_design`."""
     cols = []
     for mu in grid:
         cols.append(
@@ -187,8 +191,15 @@ def classical_moment_matrix(grid: list[FinDist], depth: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _design(grid: list[FinDist], depth: int) -> np.ndarray:
+    """The grid's iid design up to ``depth`` in symmetric coordinates."""
+    base = encode_space(grid[0].space)
+    coords = symmetric.coordinates(base, np.stack([mu.probs for mu in grid]))
+    return symmetric.iid_levels(coords, range(1, depth + 1)).T
+
+
 def classical_moment_rank(grid: list[FinDist], depth: int) -> int:
-    return int(np.linalg.matrix_rank(classical_moment_matrix(grid, depth)))
+    return int(np.linalg.matrix_rank(_design(grid, depth)))
 
 
 def hs_reconstruct(
@@ -200,7 +211,7 @@ def hs_reconstruct(
 ) -> tuple[np.ndarray, float]:
     """Recover a mixing measure over ``grid`` from an exchangeable family.
 
-    Same objective and solver as the operator-algebra route
+    Same objective, design and solver as the operator-algebra route
     (:func:`~finetti.definetti.reconstruct`): level 1, the first
     ``len(space)`` rows, is fitted over the probability simplex first; then
     all levels are fitted with the level-1 image held at that fit.  Returns
@@ -212,9 +223,13 @@ def hs_reconstruct(
             from .definetti import NotExchangeable
 
             raise NotExchangeable(report)
-    design = classical_moment_matrix(grid, seq.depth)
-    target = np.concatenate([seq.level(n).probs for n in range(1, seq.depth + 1)])
-    return lead_first_lstsq(design, target, np.arange(len(seq.space)), start=start)
+    target, off = symmetric.project(
+        encode_space(seq.space), [mu.probs for mu in seq.measures]
+    )
+    w, residual = lead_first_lstsq(
+        _design(grid, seq.depth), target, slice(0, len(seq.space)), start=start
+    )
+    return w, float(np.hypot(residual, off))
 
 
 # --- commutative encoding bridge ----------------------------------------------

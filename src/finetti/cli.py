@@ -284,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, needs_input=True):
-        if needs_input:
+        if needs_input:  # a tolerance only overrides the input's own
             sp.add_argument("--input", required=True, help="input JSON file")
+            sp.add_argument("--tol", type=float, default=None, help="override tolerance")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--output", help="write the report here instead of stdout")
-        sp.add_argument("--tol", type=float, default=None, help="override tolerance")
 
     sp = sub.add_parser("check", help="verify symmetry and consistency")
     common(sp)
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.tol is not None:
+        if getattr(args, "tol", None) is not None:
             serialize.decode_tol(args.tol, "--tol")
         return args.func(args)
     except json.JSONDecodeError as e:

@@ -204,6 +204,35 @@ def dense_to_blocks(algebra: Algebra, mat: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def hermitian_basis(algebra: Algebra) -> list[np.ndarray]:
+    """An orthonormal basis of the Hermitian elements, as rep-space matrices.
+
+    Per block: the diagonal units, and for each pair ``j < k`` of block
+    indices the symmetric and antisymmetric combinations of the off-diagonal
+    units, scaled by 1/sqrt(2).  Orthonormal in the Hilbert-Schmidt inner
+    product, so a Hermitian ``x`` is ``sum_a tr(H_a x) H_a`` with real
+    coefficients.
+    """
+    rep = algebra.rep_dim
+    hermitians: list[np.ndarray] = []
+    off = 0
+    for d in algebra.blocks:
+        for j in range(d):
+            h = np.zeros((rep, rep), dtype=complex)
+            h[off + j, off + j] = 1.0
+            hermitians.append(h)
+            for k in range(j + 1, d):
+                h = np.zeros((rep, rep), dtype=complex)
+                h[off + j, off + k] = h[off + k, off + j] = 1 / np.sqrt(2)
+                hermitians.append(h)
+                h = np.zeros((rep, rep), dtype=complex)
+                h[off + j, off + k] = -1j / np.sqrt(2)
+                h[off + k, off + j] = 1j / np.sqrt(2)
+                hermitians.append(h)
+        off += d
+    return hermitians
+
+
 def element_to_dense(a: Element) -> np.ndarray:
     return blocks_to_dense(a.algebra, a.mats)
 

@@ -20,11 +20,20 @@ is the finite-depth witness that a sequence is not a mixture of iid towers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
+from . import symmetric
 from .cpmaps import SCHRODINGER, ChoiMap, apply
-from .cstar import Algebra, StateVec, dense_to_blocks, state_distance, state_to_dense
+from .cstar import (
+    Algebra,
+    StateVec,
+    dense_to_blocks,
+    hermitian_basis,
+    state_distance,
+    state_to_dense,
+)
 from .exchange import (
     ExchSeq,
     ExchangeReport,
@@ -108,9 +117,9 @@ class AtomSet:
     atoms: tuple[StateVec, ...] = field(repr=False)
     seed: int | None = None
     method: str = "explicit"
-    # Realified moment columns, atom-major, and the depth they reach: row k
-    # holds, level by level, the real then the imaginary part of
-    # vec(sigma_k^(x n)), so the columns of every shallower depth are a prefix.
+    # Symmetric design, atom-major, and the depth it reaches: row k holds,
+    # level by level, the symmetric coordinates of sigma_k^(x n), so the
+    # columns of every shallower depth are a prefix.
     _moments: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _depth: int = field(init=False, repr=False, compare=False, default=0)
     _ranks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -149,20 +158,16 @@ class AtomSet:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def _unit(self) -> np.ndarray:
-        """The packed atoms as a ``(k, r, c)`` stack: the level-1 matrices,
-        or for a commutative base the block-value vectors as columns."""
-        packed = np.stack([_pack(self.base, s) for s in self.atoms])
-        return packed if packed.ndim == 3 else packed[:, :, None]
-
     def _rows(self, depth: int) -> int:
-        """Realified design rows of levels 1..depth."""
-        return 2 * sum(_level_size(self.base, n) for n in range(1, depth + 1))
+        """Design rows of levels 1..depth: ``C(n+q-1, n)`` for each level n,
+        with ``q`` the dimension of the base."""
+        return comb(depth + self.base.dim, depth) - 1
 
     def design(self, depth: int) -> np.ndarray:
-        """Realified moment design up to ``depth``, read-only: column k holds,
-        for n = 1..depth, the real then the imaginary part of
-        ``vec(sigma_k^(x n))``, so the rows of level 1 come first.
+        """Moment design up to ``depth`` in symmetric coordinates, read-only:
+        column k holds, for n = 1..depth, the coordinates of
+        ``sigma_k^(x n)`` on the permutation-invariant subspace of level n
+        (see :mod:`finetti.symmetric`), so the rows of level 1 come first.
 
         Levels are built once, for all atoms together, and kept: a deeper
         request extends the stored levels and a shallower one is a view of
@@ -171,56 +176,25 @@ class AtomSet:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         if depth > self._depth:
-            self._extend(depth)
+            coords = symmetric.coordinates(
+                self.base, np.stack([_pack(self.base, s) for s in self.atoms])
+            )
+            parts = [symmetric.iid_levels(coords, range(self._depth + 1, depth + 1))]
+            if self._depth:
+                parts.insert(0, self._moments)
+            # C order: every column of the design view is contiguous, as the
+            # solver's passive-column gathers want it.
+            moments = np.ascontiguousarray(np.concatenate(parts, axis=1))
+            moments.setflags(write=False)
+            object.__setattr__(self, "_moments", moments)
+            object.__setattr__(self, "_depth", depth)
         return self._moments[:, : self._rows(depth)].T
-
-    def _extend(self, depth: int) -> None:
-        unit, k, built = self._unit(), len(self), self._depth
-        moments = np.empty((k, self._rows(depth)))
-        if built:
-            moments[:, : self._moments.shape[1]] = self._moments
-        for n, re, im in _level_rows(self.base, depth):
-            if n == built:  # the top stored level seeds the next Kronecker step
-                shape = [s**n for s in unit.shape[1:]]
-                cur = (moments[:, re] + 1j * moments[:, im]).reshape(k, *shape)
-            elif n > built:
-                cur = unit if n == 1 else _next_level(cur, unit)
-                moments[:, re] = cur.reshape(k, -1).real
-                moments[:, im] = cur.reshape(k, -1).imag
-        moments.setflags(write=False)
-        object.__setattr__(self, "_moments", moments)
-        object.__setattr__(self, "_depth", depth)
 
     def rank(self, depth: int) -> int:
         """Numerical rank of the moment design up to ``depth``, memoized."""
         if depth not in self._ranks:
             self._ranks[depth] = int(np.linalg.matrix_rank(self.design(depth)))
         return self._ranks[depth]
-
-
-def _next_level(cur: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """One Kronecker step for all atoms at once:
-    ``out[k] = kron(cur[k], unit[k])`` over ``(k, R, C)`` and ``(k, r, c)``."""
-    k, big_r, big_c = cur.shape
-    _, r, c = unit.shape
-    out = np.einsum("kab,kcd->kacbd", cur, unit)
-    return out.reshape(k, big_r * r, big_c * c)
-
-
-def _level_size(base: Algebra, n: int) -> int:
-    """Entries of a packed level-n element: ``d^(2n)`` for a single block
-    ``d``, ``b^n`` for a commutative base with ``b`` blocks."""
-    return (base.blocks[0] ** 2 if base.n_blocks == 1 else base.n_blocks) ** n
-
-
-def _level_rows(base: Algebra, depth: int):
-    """``(n, real rows, imaginary rows)`` of each level of
-    :meth:`AtomSet.design`, for n = 1..depth."""
-    at = 0
-    for n in range(1, depth + 1):
-        size = _level_size(base, n)
-        yield n, slice(at, at + size), slice(at + size, at + 2 * size)
-        at += 2 * size
 
 
 def explicit_atoms(states) -> AtomSet:
@@ -268,12 +242,11 @@ class Mixture:
 def synthesize(mix: Mixture, depth: int, tolerance: float = SYNTH_TOL) -> ExchSeq:
     """The exchangeable sequence of a mixture: ``rho_n = sum_k w_k sigma_k^(x n)``."""
     base = mix.atomset.base
-    design = mix.atomset.design(depth)
-    shape = _pack(base, mix.atomset.atoms[0]).shape
-    states = []
-    for n, re, im in _level_rows(base, depth):
-        level = design[re] @ mix.weights + 1j * (design[im] @ mix.weights)
-        states.append(_unpack(base, n, level.reshape([s**n for s in shape]), StateVec))
+    coords = (mix.atomset.design(depth) @ mix.weights)[None]
+    states = [
+        _unpack(base, n, level[0], StateVec)
+        for n, level in enumerate(symmetric.unproject(base, coords, depth), start=1)
+    ]
     return ExchSeq(base, depth, states, tolerance)
 
 
@@ -281,11 +254,10 @@ def synthesize(mix: Mixture, depth: int, tolerance: float = SYNTH_TOL) -> ExchSe
 
 def moment_matrix(atoms: AtomSet, depth: int) -> np.ndarray:
     """Complex design matrix, read-only: column k stacks ``vec(sigma_k^(x n))``
-    for n <= depth.  Assembled from the atom set's stored design."""
-    design = atoms.design(depth)
-    out = np.concatenate(
-        [design[re] + 1j * design[im] for _, re, im in _level_rows(atoms.base, depth)]
-    )
+    for n <= depth.  Expanded on demand from the atom set's symmetric design;
+    no reconstruction needs it."""
+    levels = symmetric.unproject(atoms.base, atoms.design(depth).T, depth)
+    out = np.concatenate([lv.reshape(len(atoms), -1) for lv in levels], axis=1).T
     out.setflags(write=False)
     return out
 
@@ -297,14 +269,10 @@ def sequence_vector(seq: ExchSeq, depth: int | None = None) -> np.ndarray:
     )
 
 
-def _realified_sequence(seq: ExchSeq) -> np.ndarray:
-    """The sequence in the row order of :meth:`AtomSet.design`: level by
-    level, the real then the imaginary part."""
-    parts = []
-    for n in range(1, seq.depth + 1):
-        v = _pack(seq.base, seq.level(n)).ravel()
-        parts += [v.real, v.imag]
-    return np.concatenate(parts)
+def _projected(seq: ExchSeq) -> tuple[np.ndarray, float]:
+    """The sequence in the rows of :meth:`AtomSet.design`, and the norm of
+    its part that no mixture reaches (:func:`finetti.symmetric.project`)."""
+    return symmetric.project(seq.base, [_pack(seq.base, s) for s in seq.states])
 
 
 def moment_rank(atoms: AtomSet, depth: int) -> int:
@@ -314,11 +282,6 @@ def moment_rank(atoms: AtomSet, depth: int) -> int:
 
 def moment_independent(atoms: AtomSet, depth: int) -> bool:
     return moment_rank(atoms, depth) == len(atoms)
-
-
-def _level1_rows(atoms: AtomSet) -> slice:
-    """Rows of :meth:`AtomSet.design` that hold level 1."""
-    return slice(0, 2 * _level_size(atoms.base, 1))
 
 
 def reconstruct(
@@ -343,12 +306,15 @@ def reconstruct(
     :class:`NotExchangeable` unless it passes
     :func:`~finetti.exchange.check_exchangeable` at the sequence tolerance;
     pass ``check=False`` to skip that gate.  The design comes from the atom
-    set's store (:meth:`AtomSet.design`).
+    set's store (:meth:`AtomSet.design`), in symmetric coordinates: every
+    atom column lies in the permutation-invariant subspace, so the fit runs
+    on the sequence's projection there, at the same optimum.
 
     Returns the mixture and the residual ``sqrt(sum_n ||...||_F^2)`` over all
-    levels at that mixture.  The residual is the non-representability
-    witness: it stays above a strictly positive bound for sequences that are
-    not mixtures.
+    levels at that mixture: the residual of the fit, with the part of the
+    sequence off the symmetric subspace added back.  The residual is the
+    non-representability witness: it stays above a strictly positive bound
+    for sequences that are not mixtures.
     """
     if seq.base != atoms.base:
         raise ValueError(f"sequence base {seq.base} != atom base {atoms.base}")
@@ -358,10 +324,11 @@ def reconstruct(
         report = check_exchangeable(seq)
         if not report.ok:
             raise NotExchangeable(report)
+    target, off = _projected(seq)
     w, residual = lead_first_lstsq(
-        atoms.design(seq.depth), _realified_sequence(seq), _level1_rows(atoms), start=start
+        atoms.design(seq.depth), target, slice(0, atoms.base.dim), start=start
     )
-    return Mixture(atoms, w), residual
+    return Mixture(atoms, w), float(np.hypot(residual, off))
 
 
 # --- cones and mediating maps -------------------------------------------------
@@ -407,31 +374,16 @@ class Cone:
 def probe_states(algebra: Algebra) -> tuple[list[StateVec], np.ndarray]:
     """A spanning family of states built from the Hermitian matrix-unit basis.
 
-    Each basis observable ``H`` (diagonal unit, or symmetrized off-diagonal
-    pair scaled by 1/sqrt(2)) is mixed with the unit to land inside the state
-    space: ``s = (H + 1) / (tr H + rep_dim)``.  Returns the states and the
+    Each basis observable ``H`` of :func:`~finetti.cstar.hermitian_basis`
+    (diagonal unit, or symmetrized off-diagonal pair scaled by 1/sqrt(2)) is
+    mixed with the unit to land inside the state space:
+    ``s = (H + 1) / (tr H + rep_dim)``.  Returns the states and the
     matrix whose columns are their dense vectorizations (full column rank).
     """
     rep = algebra.rep_dim
-    hermitians: list[np.ndarray] = []
-    off = 0
-    for d in algebra.blocks:
-        for j in range(d):
-            h = np.zeros((rep, rep), dtype=complex)
-            h[off + j, off + j] = 1.0
-            hermitians.append(h)
-            for k in range(j + 1, d):
-                h = np.zeros((rep, rep), dtype=complex)
-                h[off + j, off + k] = h[off + k, off + j] = 1 / np.sqrt(2)
-                hermitians.append(h)
-                h = np.zeros((rep, rep), dtype=complex)
-                h[off + j, off + k] = -1j / np.sqrt(2)
-                h[off + k, off + j] = 1j / np.sqrt(2)
-                hermitians.append(h)
-        off += d
     eye = np.eye(rep, dtype=complex)
     states, cols = [], []
-    for h in hermitians:
+    for h in hermitian_basis(algebra):
         dense = (h + eye) / (np.trace(h).real + rep)
         states.append(StateVec(algebra, dense_to_blocks(algebra, dense)))
         cols.append(dense.ravel())
@@ -589,29 +541,31 @@ def uniqueness_check(
 
     With moment-independent atoms every start must land on the same weight
     vector; with degenerate atoms (rank below the atom count) the weight
-    spread is reported but only the moment image is expected to agree.
+    spread is reported but only the moment image is expected to agree.  The
+    moment spread is the largest entry of the gap between the synthesized
+    levels of two starts.
     """
     rng = np.random.default_rng(seed)
     rank = moment_rank(atoms, cone.depth)
     probes, _ = probe_states(cone.apex)
     design = atoms.design(cone.depth)
-    design_c = moment_matrix(atoms, cone.depth)
-    lead = _level1_rows(atoms)
+    lead = slice(0, atoms.base.dim)
     k = len(atoms)
     weight_spread = 0.0
     moment_spread = 0.0
     for kappa in probes:
-        target = _realified_sequence(cone.sequence(kappa))
-        sols = []
-        for _ in range(trials):
+        target, _ = _projected(cone.sequence(kappa))
+        sols = np.empty((trials, k))
+        for t in range(trials):
             start = rng.dirichlet(np.ones(k))
-            w, _ = lead_first_lstsq(design, target, lead, start=start)
-            sols.append(w)
-        for i in range(len(sols)):
-            for j in range(i + 1, len(sols)):
-                weight_spread = max(weight_spread, float(np.abs(sols[i] - sols[j]).max()))
-                gap = design_c @ (sols[i] - sols[j])
-                moment_spread = max(moment_spread, float(np.abs(gap).max()))
+            sols[t], _ = lead_first_lstsq(design, target, lead, start=start)
+        i, j = np.triu_indices(trials, 1)
+        gaps = sols[i] - sols[j]
+        weight_spread = max(weight_spread, float(np.abs(gaps).max(initial=0.0)))
+        levels = symmetric.unproject(atoms.base, gaps @ design.T, cone.depth)
+        moment_spread = max(
+            moment_spread, *(float(np.abs(lv).max(initial=0.0)) for lv in levels)
+        )
     return UniquenessReport(
         k, rank, rank == k, trials, seed, weight_spread, moment_spread
     )

@@ -61,7 +61,9 @@ def level_of(base: Algebra, algebra: Algebra) -> int:
         d, size = base.blocks[0], algebra.blocks[0]
     else:
         d, size = base.n_blocks, algebra.n_blocks
-    n = round(np.log(size) / np.log(d))
+    n, power = 0, 1
+    while power < size:
+        n, power = n + 1, power * d
     if power_algebra(base, n) != algebra:
         raise ValueError(f"{algebra} is not a tensor power of {base}")
     return n

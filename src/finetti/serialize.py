@@ -7,13 +7,22 @@ round-trip repr, so ``decode(encode(x))`` is exact.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import sys
 
 import numpy as np
 
 from .classical import ClassicalExchSeq, FinDist
-from .cpmaps import ChoiMap
+from .cpmaps import (
+    HEISENBERG,
+    SCHRODINGER,
+    ChoiMap,
+    is_completely_positive,
+    is_trace_preserving,
+    is_unital,
+)
 from .cstar import Algebra, StateVec, make_state
 from .definetti import AtomSet, Cone, MediatingMap, Mixture, UniquenessReport
 from .exchange import ExchSeq, ExchangeReport
@@ -35,8 +44,9 @@ def encode_complex(z: complex):
 
 
 def decode_complex(v, path: str = "value") -> complex:
+    """A JSON number or ``[re, im]`` pair of them; a boolean is not a number."""
     parts = v if isinstance(v, list) and len(v) == 2 else [v]
-    if not all(isinstance(x, (int, float)) for x in parts):
+    if not all(type(x) in (int, float) for x in parts):
         _fail(path, f"expected number or [re, im] pair, got {v!r}")
     if not all(abs(x) <= sys.float_info.max for x in parts):  # NaN compares False
         _fail(path, f"non-finite entry {v!r}")
@@ -77,14 +87,20 @@ def _numeric_matrix(rows, width: int) -> np.ndarray | None:
         arr = np.array(rows)
     except ValueError:
         return None
-    if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         return None
-    if arr.shape == (len(rows), width, 2):
+    if arr.shape not in ((len(rows), width, 2), (len(rows), width)):
+        return None
+    # numpy reads a boolean among numbers as 0 or 1, so a matrix holding one
+    # goes to the per-entry path, which names it.  Only the entries that read
+    # 0 or 1 can be booleans.
+    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        if type(functools.reduce(operator.getitem, index, rows)) is bool:
+            return None
+    if arr.ndim == 3:
         # A C-ordered float pair [re, im] is the memory layout of one complex.
         return arr.astype(float).view(complex)[..., 0]
-    if arr.shape == (len(rows), width):
-        return arr.astype(complex)
-    return None
+    return arr.astype(complex)
 
 
 def decode_matrix(rows, path: str = "matrix") -> np.ndarray:
@@ -104,9 +120,11 @@ def decode_matrix(rows, path: str = "matrix") -> np.ndarray:
 
 
 def _decode_blocks(doc, key: str, path: str) -> Algebra:
-    blocks = doc.get(key)
-    if not isinstance(blocks, list) or not all(isinstance(b, int) and b >= 1 for b in blocks):
-        _fail(path, f"field {key!r} must be a list of positive integers")
+    blocks = _require(doc, key, path)
+    if not isinstance(blocks, list) or not blocks or not all(
+        type(b) is int and b >= 1 for b in blocks
+    ):
+        _fail(path, f"field {key!r} must be a non-empty list of positive integers")
     return Algebra(tuple(blocks))
 
 
@@ -114,6 +132,14 @@ def _require(doc, key: str, path: str):
     if not isinstance(doc, dict) or key not in doc:
         _fail(path, f"missing field {key!r}")
     return doc[key]
+
+
+def _require_int(doc, key: str, path: str) -> int:
+    """A required integer field; a boolean is not one."""
+    value = _require(doc, key, path)
+    if type(value) is not int:
+        _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
+    return value
 
 
 # --- states and maps -----------------------------------------------------------
@@ -148,9 +174,16 @@ def decode_choi(doc, path: str = "map") -> ChoiMap:
         _fail(path, f"direction must be 'H' or 'S', got {direction!r}")
     choi = decode_matrix(_require(doc, "choi", path), f"{path}.choi")
     try:
-        return ChoiMap(source, target, direction, choi)
+        f = ChoiMap(source, target, direction, choi)
     except ValueError as e:
         _fail(path, str(e))
+    if not is_completely_positive(f):
+        _fail(path, "map is not completely positive")
+    if direction == SCHRODINGER and not is_trace_preserving(f):
+        _fail(path, "map is not trace preserving")
+    if direction == HEISENBERG and not is_unital(f):
+        _fail(path, "map is not unital")
+    return f
 
 
 def _decode_density(alg: Algebra, dens: list, path: str) -> StateVec:
@@ -175,10 +208,10 @@ def encode_exch_seq(seq: ExchSeq) -> dict:
 
 
 def decode_exch_seq(doc, path: str = "sequence") -> ExchSeq:
-    d = _require(doc, "base_dim", path)
-    if not isinstance(d, int) or d < 2:
+    d = _require_int(doc, "base_dim", path)
+    if d < 2:
         _fail(path, f"base_dim must be an integer >= 2, got {d!r}")
-    depth = _require(doc, "depth", path)
+    depth = _require_int(doc, "depth", path)
     mats = _require(doc, "states", path)
     if not isinstance(mats, list) or len(mats) != depth:
         _fail(path, f"'states' must list {depth} matrices")
@@ -209,7 +242,7 @@ def decode_classical_seq(doc, path: str = "sequence") -> ClassicalExchSeq:
     space = _require(doc, "space", path)
     if not isinstance(space, list) or len(space) < 2:
         _fail(path, "'space' must list at least two labels")
-    depth = _require(doc, "depth", path)
+    depth = _require_int(doc, "depth", path)
     rows = _require(doc, "measures", path)
     if not isinstance(rows, list) or len(rows) != depth:
         _fail(path, f"'measures' must list {depth} probability vectors")
@@ -299,7 +332,7 @@ def encode_cone(cone: Cone) -> dict:
 
 def decode_cone(doc, path: str = "cone") -> Cone:
     apex = _decode_blocks(doc, "apex", path)
-    depth = _require(doc, "depth", path)
+    depth = _require_int(doc, "depth", path)
     chans = _require(doc, "channels", path)
     if not isinstance(chans, list) or len(chans) != depth:
         _fail(path, f"'channels' must list {depth} maps")

@@ -1,10 +1,14 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finetti
 from finetti.cli import (
@@ -15,7 +19,11 @@ from finetti.cli import (
     EXIT_SOLVER,
     main,
 )
+from finetti.cpmaps import SCHRODINGER, choi_from_function
+from finetti.cstar import Algebra
+from finetti.definetti import Cone
 from finetti.fixtures import (
+    QUBIT,
     broken_cone,
     circuit1_sequence,
     coin_sequence,
@@ -425,3 +433,111 @@ def test_depth_out_of_range_exits_2(capsys, seq_file, coin_file):
         assert main(["check", "--input", path, "--depth", "9"]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("invalid input: --depth 9") and err.count("\n") == 1
+
+
+def _assert_invalid_input(capsys, code, name=""):
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+    assert name in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc, name",
+    [
+        ({"base_dim": 2, "depth": 1, "states": [[[True, 0], [0, False]]]}, "states[0][0][0]"),
+        (
+            {"base_dim": 2, "depth": 1, "states": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, False]]]]},
+            "states[0][1][1]",
+        ),
+        ({"base_dim": 2, "depth": True, "states": [[[1, 0], [0, 0]]]}, ".depth"),
+        ({"base_dim": True, "depth": 1, "states": [[[1]]]}, ".base_dim"),
+        ({"space": ["H", "T"], "depth": True, "measures": [[0.5, 0.5]]}, ".depth"),
+    ],
+    ids=["bool-entries", "bool-pair-part", "bool-depth", "bool-base-dim", "coin-bool-depth"],
+)
+def test_booleans_are_not_numbers(capsys, tmp_path, doc, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    _assert_invalid_input(capsys, main(["check", "--input", str(path)]), name)
+
+
+def test_demo_takes_no_tolerance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "coin", "--tol", "0.5"])
+    assert exc.value.code == EXIT_PARSE
+
+
+def test_factor_refuses_a_cone_that_is_not_completely_positive(capsys, tmp_path):
+    # Level 1 is the transpose: positive and trace preserving, not CP.
+    channels = [
+        choi_from_function(QUBIT, QUBIT, lambda x: x.T, SCHRODINGER),
+        choi_from_function(
+            QUBIT, Algebra((4,)), lambda x: np.trace(x) * np.eye(4) / 4, SCHRODINGER
+        ),
+    ]
+    path = tmp_path / "transpose_cone.json"
+    dump_document(encode_cone(Cone(QUBIT, 2, channels)), str(path))
+    code = main(["factor", "--input", str(path)])
+    _assert_invalid_input(capsys, code, "channels[0]: map is not completely positive")
+
+
+# --- the exit-code contract on malformed documents -----------------------------
+
+VALID_DOCS = {
+    "quantum": (encode_exch_seq(circuit1_sequence(2)), "check"),
+    "classical": (encode_classical_seq(coin_sequence(depth=2)), "check"),
+    "cone": (encode_cone(measure_prepare_cone(2)), "factor"),
+}
+# No value here is a number or a valid direction ('H' or 'S'), so none can
+# stand in for the value it replaces.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4).filter(lambda t: t not in ("H", "S")),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+
+
+def _paths(node, prefix=()):
+    """Every location in a JSON document, the root first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_DOCS))
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_malformed_documents_exit_2_with_one_line(capsys, tmp_path, kind, data):
+    # One location of a valid document is replaced by a value of the wrong
+    # kind, or deleted.  Labels of a classical space may be anything, and the
+    # tolerance is optional, so neither is touched that way.
+    valid, command = VALID_DOCS[kind]
+    doc = json.loads(json.dumps(valid))
+    paths = [p for p in _paths(doc) if p[:1] != ("space",)]
+    where = data.draw(st.sampled_from(paths), label="where")
+    if not where:
+        doc = data.draw(JUNK, label="document")
+    else:
+        parent = functools.reduce(operator.getitem, where[:-1], doc)
+        if where[-1] != "tol" and data.draw(st.booleans(), label="delete"):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(JUNK, label="value")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    _assert_invalid_input(capsys, main([command, "--input", str(path)]))

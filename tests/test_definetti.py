@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -27,15 +28,26 @@ from finetti.definetti import (
     synthesize,
     uniqueness_check,
 )
-from finetti.exchange import check_exchangeable, eta_sigma, power_algebra
+from finetti.classical import (
+    ClassicalExchSeq,
+    FinDist,
+    _design as classical_design,
+    classical_moment_rank,
+    hs_reconstruct,
+    tuple_space,
+)
+from finetti.exchange import check_exchangeable, eta_sigma, make_exch_seq, power_algebra
 from finetti.cpmaps import SCHRODINGER, choi_from_function
 from finetti.fixtures import (
+    COIN_SPACE,
     QUBIT,
     bloch_grid_atoms,
     broken_cone,
     circuit1_atoms,
     circuit1_sequence,
     circuit2_sequence,
+    coin_grid,
+    coin_sequence,
     constant_cone,
     equator_atoms,
     equator_sequence,
@@ -535,13 +547,10 @@ def _packed(atoms):
     return [np.array([m[0, 0] for m in s.dens]) for s in atoms.atoms]
 
 
-def _level_by_level(design_c: np.ndarray, sizes) -> np.ndarray:
-    parts, at = [], 0
-    for size in sizes:
-        block = design_c[at : at + size]
-        parts += [block.real, block.imag]
-        at += size
-    return np.concatenate(parts)
+def _gram(design: np.ndarray) -> np.ndarray:
+    """Inner products of the columns: real for the symmetric design, and the
+    real part for a complex design of Hermitian columns."""
+    return (design.conj().T @ design).real
 
 
 @pytest.mark.parametrize(
@@ -554,24 +563,35 @@ def _level_by_level(design_c: np.ndarray, sizes) -> np.ndarray:
     ids=["qubit", "qutrit", "commutative-1+1+1"],
 )
 def test_stored_design_matches_per_atom_kron(make, depth):
+    # The full design expanded from the stored one is the oracle's, entry by
+    # entry.  The stored design has C(n+q-1, n) rows at level n, and at each
+    # level the same column inner products as the oracle's level: it is the
+    # oracle's level in orthonormal coordinates of the symmetric subspace.
     atoms = make()
     ref = kron_moment_matrix(_packed(atoms), depth)
     got = moment_matrix(atoms, depth)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-15
-    size = _packed(atoms)[0].size
-    sizes = [size**n for n in range(1, depth + 1)]
-    assert np.abs(atoms.design(depth) - _level_by_level(ref, sizes)).max() <= 1e-15
+    q = atoms.base.dim
+    design, at, at_ref = atoms.design(depth), 0, 0
+    for n in range(1, depth + 1):
+        rows, size = math.comb(n + q - 1, n), q**n
+        gap = _gram(design[at : at + rows]) - _gram(ref[at_ref : at_ref + size])
+        assert np.abs(gap).max() <= 1e-13
+        at, at_ref = at + rows, at_ref + size
+    assert design.shape == (at, len(atoms))
 
 
 def test_shallower_design_is_the_stored_prefix():
     deep_first = default_atoms(2, 9, seed=5)
     deep = deep_first.design(5)
     shallow = deep_first.design(3)
-    rows = 2 * (4 + 16 + 64)
+    rows = 4 + 10 + 20
     assert np.array_equal(shallow, deep[:rows])
     assert np.array_equal(shallow, default_atoms(2, 9, seed=5).design(3))
     assert np.array_equal(moment_matrix(deep_first, 3), moment_matrix(deep_first, 5)[:84])
+    ref = kron_moment_matrix(_packed(deep_first), 3)
+    assert np.abs(_gram(shallow) - _gram(ref)).max() <= 1e-13
 
 
 def test_reconstruct_from_a_deeper_store_matches_a_fresh_store(monkeypatch):
@@ -590,8 +610,110 @@ def test_reconstruct_from_a_deeper_store_matches_a_fresh_store(monkeypatch):
         ref, ref_residual = reconstruct(seq, fresh)
         assert np.abs(got.weights - ref.weights).max() <= 1e-14
         assert abs(got_residual - ref_residual) <= 1e-14
+        oracle = kron_moment_matrix(_packed(deeper), 3) @ got.weights - sequence_vector(seq)
+        assert abs(got_residual - np.linalg.norm(oracle)) <= 1e-12
     # The prefix view has contiguous columns, so no solve copies it.
-    assert (2 * (4 + 16 + 64), k) not in copies
+    assert (4 + 10 + 20, k) not in copies
+
+
+def _coin_grid_as_atoms():
+    return coin_grid(tuple(np.linspace(0.0, 1.0, 21)))
+
+
+@pytest.mark.parametrize(
+    "make, depth",
+    [
+        (lambda: default_atoms(2, 40, seed=3), 6),
+        (lambda: default_atoms(3, 30, seed=4), 4),
+        (_commutative_atoms, 6),
+        (_coin_grid_as_atoms, 10),
+    ],
+    ids=["qubit", "qutrit", "commutative-1+1+1", "coin"],
+)
+def test_symmetric_design_gram_matches_kron_oracle(make, depth):
+    # The map to symmetric coordinates is an isometry on the span of the
+    # iid columns, so the column inner products are the oracle's, and so is
+    # the rank.
+    atoms = make()
+    if isinstance(atoms, list):  # a classical grid: the design of hs_reconstruct
+        design = classical_design(atoms, depth)
+        ref = kron_moment_matrix([mu.probs for mu in atoms], depth)
+        rank = classical_moment_rank(atoms, depth)
+    else:
+        design = atoms.design(depth)
+        ref = kron_moment_matrix(_packed(atoms), depth)
+        rank = moment_rank(atoms, depth)
+    assert np.abs(_gram(design) - _gram(ref)).max() <= 1e-13
+    assert rank == np.linalg.matrix_rank(realify(ref))
+
+
+def _product_tower(levels1):
+    """Levels ``s_1 (x) ... (x) s_n``: consistent, not symmetric."""
+    out, cur = [], None
+    for s in levels1:
+        cur = s if cur is None else np.kron(cur, s)
+        out.append(cur)
+    return out
+
+
+def _oracle_residual(columns, weights, levels) -> float:
+    depth = len(levels)
+    target = np.concatenate([np.asarray(lv).ravel() for lv in levels])
+    return float(np.linalg.norm(kron_moment_matrix(columns, depth) @ weights - target))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (circuit1_sequence(3), circuit1_atoms()),
+        lambda: (circuit2_sequence(3), default_atoms(2, 50, seed=1)),
+        lambda: (equator_sequence(5), equator_atoms()),
+        lambda: (unknown_qubit_sequence(4), bloch_grid_atoms()),
+        lambda: (singlet_sequence(), default_atoms(2, 200, seed=0)),
+        lambda: (singlet_sequence(), bloch_grid_atoms()),
+    ],
+    ids=["circuit1", "circuit2", "equator", "unknown-qubit", "singlet", "singlet-bloch"],
+)
+def test_reported_residual_is_the_full_design_residual(make):
+    seq, atoms = make()
+    mix, residual = reconstruct(seq, atoms)
+    levels = [seq.level(n).dens[0] for n in range(1, seq.depth + 1)]
+    assert abs(residual - _oracle_residual(_packed(atoms), mix.weights, levels)) <= 1e-12
+
+
+def test_residual_counts_the_part_off_the_symmetric_subspace():
+    # Product towers of distinct states are consistent but not symmetric:
+    # the part no mixture reaches enters the residual, as in the oracle's.
+    rng = np.random.default_rng(12)
+    for d, depth, k in [(2, 4, 30), (3, 3, 20)]:
+        atoms = default_atoms(d, k, seed=d)
+        levels = _product_tower([random_mixed_state(d, rng).dens[0] for _ in range(depth)])
+        states = [make_state(Algebra((m.shape[0],)), [m]) for m in levels]
+        seq = make_exch_seq(Algebra((d,)), states)
+        assert not check_exchangeable(seq).ok
+        mix, residual = reconstruct(seq, atoms, check=False)
+        oracle = _oracle_residual(_packed(atoms), mix.weights, levels)
+        assert oracle > 1e-2
+        assert abs(residual - oracle) <= 1e-12
+    levels = _product_tower([np.array([p, 1 - p]) for p in (0.2, 0.7, 0.4)])
+    measures = [FinDist(tuple_space(COIN_SPACE, n), lv) for n, lv in enumerate(levels, start=1)]
+    grid = _coin_grid_as_atoms()
+    for seq in (
+        ClassicalExchSeq(COIN_SPACE, 3, measures),
+        coin_sequence(6, biases=(0.1, 0.35, 0.8), weights=(0.5, 0.3, 0.2)),
+    ):
+        w, residual = hs_reconstruct(seq, grid, check=False)
+        oracle = _oracle_residual([mu.probs for mu in grid], w, [mu.probs for mu in seq.measures])
+        assert abs(residual - oracle) <= 1e-12
+
+
+def test_synthesized_inputs_reach_residual_1e_12():
+    rng = np.random.default_rng(13)
+    for atoms, depth in [(default_atoms(2, 200, seed=5), 5), (default_atoms(3, 60, seed=6), 4)]:
+        w = np.zeros(len(atoms))
+        w[rng.choice(len(atoms), 4, replace=False)] = rng.dirichlet(np.ones(4))
+        _, residual = reconstruct(synthesize(Mixture(atoms, w), depth), atoms)
+        assert residual <= 1e-12
 
 
 def test_stored_design_and_atoms_are_read_only():
@@ -609,34 +731,36 @@ def test_stored_design_and_atoms_are_read_only():
 
 
 def _count_level_builds(monkeypatch):
-    import finetti.definetti as definetti
+    import finetti.symmetric as symmetric
 
     builds = []
-    real = definetti._next_level
+    real = symmetric.iid_level
 
-    def counted(cur, unit):
-        out = real(cur, unit)
+    def counted(coords, n):
+        out = real(coords, n)
         builds.append(out.shape[1:])
         return out
 
-    monkeypatch.setattr(definetti, "_next_level", counted)
+    monkeypatch.setattr(symmetric, "iid_level", counted)
     return builds
 
 
 def test_reconstruct_then_moment_rank_build_each_level_once(monkeypatch):
+    atoms = default_atoms(2, 20, seed=7)
+    oracle = kron_moment_matrix(_packed(atoms), 3)
+    oracle_ranks = [np.linalg.matrix_rank(realify(oracle[:rows])) for rows in (84, 20)]
     builds = _count_level_builds(monkeypatch)
     ranks = []
     real_rank = np.linalg.matrix_rank
     monkeypatch.setattr(np.linalg, "matrix_rank", lambda m: ranks.append(m.shape) or real_rank(m))
-    atoms = default_atoms(2, 20, seed=7)
     seq = synthesize(Mixture(atoms, np.full(20, 0.05)), 3)
-    assert builds == [(4, 4), (8, 8)]
+    assert builds == [(4,), (10,), (20,)]
     _, residual = reconstruct(seq, atoms)
     assert residual < 1e-10
-    assert moment_rank(atoms, 3) == moment_rank(atoms, 3)
-    assert moment_rank(atoms, 2) >= 1
-    assert builds == [(4, 4), (8, 8)]
-    assert ranks == [(2 * (4 + 16 + 64), 20), (2 * (4 + 16), 20)]
+    assert moment_rank(atoms, 3) == moment_rank(atoms, 3) == oracle_ranks[0]
+    assert moment_rank(atoms, 2) == oracle_ranks[1]
+    assert builds == [(4,), (10,), (20,)]
+    assert ranks == [(4 + 10 + 20, 20), (4 + 10, 20)]
 
 
 def test_mediating_map_builds_the_design_once_for_all_probes(monkeypatch):
@@ -645,10 +769,10 @@ def test_mediating_map_builds_the_design_once_for_all_probes(monkeypatch):
     atoms = circuit1_atoms()
     med = mediating_map(cone, atoms)
     assert len(med.probes) == 4
-    assert builds == [(4, 4), (8, 8)]
+    assert builds == [(4,), (10,), (20,)]
     uniqueness_check(cone, atoms, trials=3)
     assert factorization_error(cone, med) < 1e-7
-    assert builds == [(4, 4), (8, 8)]
+    assert builds == [(4,), (10,), (20,)]
 
 
 # --- the distinctness screen ---------------------------------------------------

@@ -72,6 +72,31 @@ def test_power_algebra_shapes():
         level_of(QUBIT, Algebra((3,)))
 
 
+@pytest.mark.parametrize(
+    "base, deepest",
+    [
+        (Algebra((2,)), 12),
+        (Algebra((3,)), 8),
+        (Algebra((6,)), 6),
+        (Algebra((1,) * 2), 12),
+        (Algebra((1,) * 3), 8),
+        (Algebra((1,) * 6), 6),
+    ],
+    ids=["qubit", "qutrit", "d6", "coin", "3-point", "6-point"],
+)
+def test_level_of_is_exact_and_rejects_non_powers(base, deepest):
+    # Beyond the deepest levels of the fixtures and the benchmark documents
+    # (qubit 7, qutrit 4, 6-point 6, coin 12).
+    quantum = base.n_blocks == 1
+    d = base.blocks[0] if quantum else base.n_blocks
+    for n in range(1, deepest + 1):
+        assert level_of(base, power_algebra(base, n)) == n
+        for size in (d**n - 1, d**n + 1):
+            if size > 1:
+                with pytest.raises(ValueError, match="not a tensor power"):
+                    level_of(base, Algebra((size,) if quantum else (1,) * size))
+
+
 def test_base_must_be_nontrivial():
     with pytest.raises(ValueError):
         power_algebra(Algebra((1,)), 2)

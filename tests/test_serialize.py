@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from finetti.cpmaps import SCHRODINGER, depolarizing_map, maps_close
+from finetti.cpmaps import (
+    HEISENBERG,
+    SCHRODINGER,
+    choi_from_function,
+    depolarizing_map,
+    maps_close,
+)
 from finetti.cstar import make_state, state_distance
 from finetti.definetti import Mixture, check_cone, default_atoms
 from finetti.fixtures import (
@@ -86,6 +92,8 @@ def test_matrix_decodes_real_rows_and_mixed_number_kinds():
         ([float("nan"), 0.0], "non-finite"),
         (float("inf"), "non-finite"),
         (10**400, "non-finite"),
+        (True, "expected number"),
+        ([0.5, False], "expected number"),
     ],
     ids=[
         "numeric-string",
@@ -95,6 +103,8 @@ def test_matrix_decodes_real_rows_and_mixed_number_kinds():
         "nan-pair",
         "inf",
         "beyond-float-range",
+        "bool",
+        "bool-in-pair",
     ],
 )
 def test_matrix_entry_errors_name_the_entry(entry, message):
@@ -104,6 +114,17 @@ def test_matrix_entry_errors_name_the_entry(entry, message):
         decode_matrix(json_round(rows), "m")
     with pytest.raises(SchemaError, match=r"^m: row 1 has length 1, expected 2"):
         decode_matrix([[[1.0, 0.0], [0.0, 0.0]], [entry]], "m")
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["bare", "paired"])
+def test_a_lone_boolean_is_named(pairs):
+    # The boolean is the only entry that reads 0 or 1, so numpy converts the
+    # matrix and only the boolean check can refuse it.
+    x, b = ([0.5, 0.25], [0.5, True]) if pairs else (0.5, True)
+    rows = [[x] * 3 for _ in range(3)]
+    rows[2][1] = b
+    with pytest.raises(SchemaError, match=r"^m\[2\]\[1\]: expected number"):
+        decode_matrix(json_round(rows), "m")
 
 
 def test_state_round_trip():
@@ -129,6 +150,41 @@ def test_choi_round_trip():
     doc["choi"] = [[0.0]]  # wrong side length
     with pytest.raises(SchemaError):
         decode_choi(doc)
+
+
+def test_decoded_maps_must_be_channels():
+    # The transpose is positive and trace preserving, not completely positive.
+    transpose = choi_from_function(QUBIT, QUBIT, lambda x: x.T, SCHRODINGER)
+    doubled = choi_from_function(QUBIT, QUBIT, lambda x: 2 * x, SCHRODINGER)
+    halved = choi_from_function(QUBIT, QUBIT, lambda x: x / 2, HEISENBERG)
+    for f, message in [
+        (transpose, "not completely positive"),
+        (doubled, "not trace preserving"),
+        (halved, "not unital"),
+    ]:
+        with pytest.raises(SchemaError, match=rf"^map: map is {message}"):
+            decode_choi(json_round(encode_choi(f)))
+    doc = encode_cone(measure_prepare_cone(2))
+    doc["channels"][1]["choi"] = encode_matrix(2 * measure_prepare_cone(2).channels[1].choi)
+    with pytest.raises(SchemaError, match=r"^cone\.channels\[1\]: map is not trace preserving"):
+        decode_cone(json_round(doc))
+
+
+def test_integer_fields_refuse_booleans():
+    docs = {
+        decode_exch_seq: encode_exch_seq(circuit1_sequence(1)),
+        decode_classical_seq: encode_classical_seq(coin_sequence(depth=1)),
+        decode_cone: encode_cone(measure_prepare_cone(1)),
+    }
+    for decode, doc in docs.items():
+        # True == 1, the depth of each document
+        with pytest.raises(SchemaError, match=r"\.depth: expected an integer, got True"):
+            decode(dict(json_round(doc), depth=True))
+    doc = encode_exch_seq(circuit1_sequence(1))
+    with pytest.raises(SchemaError, match=r"\.base_dim: expected an integer, got True"):
+        decode_exch_seq(dict(json_round(doc), base_dim=True))
+    with pytest.raises(SchemaError, match="positive integers"):
+        decode_state({"blocks": [True], "dens": [[[1.0]]]})
 
 
 def test_exch_seq_round_trip():
