@@ -35,15 +35,21 @@ class FinDist:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (len(self.space),):
-            raise ValueError(f"{p.shape} probabilities for {len(self.space)} labels")
-        if not np.isfinite(p).all():
-            raise ValueError("probabilities must be finite")
-        if p.min() < -PROB_TOL or abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        p.setflags(write=False)
-        self.probs = p
+        self.probs = probability_vector(self.probs, len(self.space))
+
+
+def probability_vector(probs, size: int) -> np.ndarray:
+    """``probs`` as a read-only float vector of ``size`` entries, checked
+    finite, nonnegative and summing to 1 (the last two within ``PROB_TOL``)."""
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (size,):
+        raise ValueError(f"{p.shape} probabilities for {size} labels")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if p.min() < -PROB_TOL or abs(p.sum() - 1.0) > PROB_TOL:
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    p.setflags(write=False)
+    return p
 
 
 def dirac(x, space) -> FinDist:
@@ -180,22 +186,13 @@ def check_exchangeable_measures(seq: ClassicalExchSeq) -> ExchangeReport:
     return _check_levels([mu.probs for mu in seq.measures], len(seq.space), seq.tolerance)
 
 
-def classical_moment_matrix(grid: list[FinDist], depth: int) -> np.ndarray:
-    """Stacked product measures, one column per grid point.  No
-    reconstruction needs it: they run on :func:`_design`."""
-    cols = []
-    for mu in grid:
-        cols.append(
-            np.concatenate([product_measure(mu, n).probs for n in range(1, depth + 1)])
-        )
-    return np.stack(cols, axis=1)
-
-
 def _design(grid: list[FinDist], depth: int) -> np.ndarray:
-    """The grid's iid design up to ``depth`` in symmetric coordinates."""
+    """The grid's iid design up to ``depth`` in symmetric coordinates, with
+    contiguous columns like :meth:`~finetti.definetti.AtomSet.design`, so
+    the two routes round alike."""
     base = encode_space(grid[0].space)
     coords = symmetric.coordinates(base, np.stack([mu.probs for mu in grid]))
-    return symmetric.iid_levels(coords, range(1, depth + 1)).T
+    return np.ascontiguousarray(symmetric.iid_levels(coords, range(1, depth + 1))).T
 
 
 def classical_moment_rank(grid: list[FinDist], depth: int) -> int:
@@ -244,11 +241,11 @@ def encode_dist(dist: FinDist) -> StateVec:
 
 
 def encode_seq(seq: ClassicalExchSeq) -> ExchSeq:
-    """Re-express a classical family as states on tensor powers of the
-    all-ones block algebra (lexicographic order matches slot order)."""
-    base = encode_space(seq.space)
-    states = [encode_dist(seq.level(n)) for n in range(1, seq.depth + 1)]
-    return ExchSeq(base, seq.depth, states, seq.tolerance)
+    """A classical family as the tower on the all-ones block algebra of its
+    space: the probability vectors are its packed levels (lexicographic
+    tuple order matches slot order)."""
+    levels = tuple(mu.probs for mu in seq.measures)
+    return ExchSeq(encode_space(seq.space), levels, seq.tolerance)
 
 
 def bernoulli(space, p_first: float) -> FinDist:

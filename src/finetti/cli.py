@@ -17,22 +17,22 @@ import sys
 
 import numpy as np
 
-from . import classical, definetti, fixtures, serialize
-from .classical import ClassicalExchSeq
-from .cstar import state_distance
+from . import classical, fixtures, serialize
+from .cstar import StateVec, state_distance
 from .definetti import (
     AtomSet,
     ConeLawViolation,
     NotExchangeable,
     NotRepresentable,
     default_atoms,
+    explicit_atoms,
     factorization_error,
     mediating_map,
     moment_rank,
     reconstruct,
     uniqueness_check,
 )
-from .exchange import ExchSeq, check_exchangeable
+from .exchange import check_exchangeable
 from .serialize import SchemaError
 from .solvers import SolverDidNotConverge
 
@@ -71,21 +71,22 @@ def _report_lines(report, kind: str) -> list[str]:
     return lines
 
 
+def _kind(seq) -> str:
+    return "classical" if seq.base.is_commutative else "quantum"
+
+
 def _load_sequence(args):
+    """The input document and the tower it holds, ``--tol`` and ``--depth``
+    applied."""
     doc = serialize.load_document(args.input)
     seq = serialize.detect_sequence(doc, args.input)
     if args.tol is not None:
         seq.tolerance = args.tol
     if args.depth is not None:
-        if not 1 <= args.depth <= seq.depth:
+        if args.depth > seq.depth:
             raise SchemaError(f"--depth {args.depth} outside 1..{seq.depth}")
-        if isinstance(seq, ExchSeq):
-            seq = seq.truncate(args.depth)
-        else:
-            seq = ClassicalExchSeq(
-                seq.space, args.depth, seq.measures[: args.depth], seq.tolerance
-            )
-    return seq
+        seq = seq.truncate(args.depth)
+    return doc, seq
 
 
 def _atom_count(args, least: int) -> int:
@@ -94,95 +95,63 @@ def _atom_count(args, least: int) -> int:
     return args.atom_count
 
 
-def _load_atoms(args, seq) -> AtomSet | list:
+def _load_atoms(args, base) -> AtomSet:
+    """The ``--atoms`` dictionary, else a default one on ``base``: seeded
+    random states on a matrix block, evenly spaced biases on two points."""
     if args.atoms:
-        doc = serialize.load_document(args.atoms)
-        atoms = serialize.decode_atoms(doc, args.atoms)
-        if isinstance(seq, ClassicalExchSeq):
-            # classical grids ride along as FinDists
-            k = len(seq.space)
-            if atoms.base.n_blocks != k:
-                raise SchemaError(
-                    f"grid over {atoms.base.n_blocks} points, sequence space has {k}"
-                )
-            return [
-                classical.FinDist(list(seq.space), np.array([m[0, 0].real for m in s.dens]))
-                for s in atoms.atoms
-            ]
-        if atoms.base != seq.base:
-            raise SchemaError(f"atoms on {atoms.base} do not match base {seq.base}")
+        atoms = serialize.decode_atoms(serialize.load_document(args.atoms), args.atoms)
+        if atoms.base != base:
+            raise SchemaError(f"atoms on {atoms.base} do not match base {base}")
         return atoms
-    if isinstance(seq, ClassicalExchSeq):
-        if len(seq.space) != 2:
-            raise SchemaError("no default grid beyond two-point spaces; pass --atoms")
-        count = _atom_count(args, 2)
-        return [
-            classical.bernoulli(list(seq.space), j / (count - 1)) for j in range(count)
-        ]
-    return default_atoms(seq.base.blocks[0], _atom_count(args, 1), args.seed)
+    if not base.is_commutative:
+        return default_atoms(base.blocks[0], _atom_count(args, 1), args.seed)
+    if base.n_blocks != 2:
+        raise SchemaError("no default grid beyond two-point spaces; pass --atoms")
+    count = _atom_count(args, 2)
+    biases = [j / (count - 1) for j in range(count)]
+    return explicit_atoms(StateVec(base, [[[p]], [[1.0 - p]]]) for p in biases)
 
 
 def cmd_check(args) -> int:
-    seq = _load_sequence(args)
-    if isinstance(seq, ClassicalExchSeq):
-        kind, report = "classical", classical.check_exchangeable_measures(seq)
-    else:
-        kind, report = "quantum", check_exchangeable(seq)
+    _, seq = _load_sequence(args)
+    report = check_exchangeable(seq)
+    kind = _kind(seq)
     _emit(args, _report_lines(report, kind), serialize.encode_report(report, kind))
     return EXIT_OK if report.ok else EXIT_INVARIANT
 
 
-def _weight_lines(weights, names=None) -> list[str]:
+def _weight_lines(weights) -> list[str]:
     order = np.argsort(weights)[::-1]
     shown = [i for i in order if weights[i] > 1e-12][:12]
-    lines = []
-    for i in shown:
-        label = names[i] if names else f"atom {i}"
-        lines.append(f"  {label}: {weights[i]:.8f}")
+    lines = [f"  atom {i}: {weights[i]:.8f}" for i in shown]
     if len(shown) < int(np.count_nonzero(weights > 1e-12)):
         lines.append(f"  ... ({np.count_nonzero(weights > 1e-12)} atoms carry weight)")
     return lines
 
 
 def cmd_reconstruct(args) -> int:
-    seq = _load_sequence(args)
-    atoms = _load_atoms(args, seq)
-    if isinstance(seq, ClassicalExchSeq):
-        weights, residual = classical.hs_reconstruct(seq, atoms)
-        rank = classical.classical_moment_rank(atoms, seq.depth)
-        n_atoms = len(atoms)
-        doc = {
-            "space": list(seq.space),
-            "grid": [list(map(float, g.probs)) for g in atoms],
-            "weights": [float(w) for w in weights],
-        }
-    else:
-        mixture, residual = reconstruct(seq, atoms)
-        weights = mixture.weights
-        rank = moment_rank(atoms, seq.depth)
-        n_atoms = len(atoms)
-        doc = serialize.encode_mixture(mixture)
-    degenerate = rank < n_atoms
-    doc.update(
-        {
-            "residual": residual,
-            "moment_rank": rank,
-            "degenerate": degenerate,
-        }
-    )
-    lines = [f"atoms: {n_atoms}", f"residual: {residual:.6e}"]
-    lines += _weight_lines(weights)
+    doc, seq = _load_sequence(args)
+    atoms = _load_atoms(args, seq.base)
+    mixture, residual = reconstruct(seq, atoms)
+    rank = moment_rank(atoms, seq.depth)
+    out = serialize.encode_mixture(mixture)
+    if seq.base.is_commutative:  # the point labels live in the input alone
+        out["space"] = doc["space"]
+    degenerate = rank < len(atoms)
+    out.update({"residual": residual, "moment_rank": rank, "degenerate": degenerate})
+    lines = [f"atoms: {len(atoms)}", f"residual: {residual:.6e}"]
+    lines += _weight_lines(mixture.weights)
     lines.append(
-        f"moment rank: {rank}/{n_atoms}"
+        f"moment rank: {rank}/{len(atoms)}"
         + (" (degenerate: weights not unique at this depth)" if degenerate else "")
     )
     if args.max_residual is not None and residual > args.max_residual:
         lines.append(
             f"NOT REPRESENTABLE: residual {residual:.6e} > bound {args.max_residual:g}"
         )
-        _emit(args, lines, doc)
+        _emit(args, lines, out)
         return EXIT_NOT_REPRESENTABLE
-    _emit(args, lines, doc)
+    _emit(args, lines, out)
     return EXIT_OK
 
 
@@ -191,10 +160,7 @@ def cmd_factor(args) -> int:
     cone = serialize.decode_cone(doc, args.input)
     if args.tol is not None:
         cone.tolerance = args.tol
-    if args.atoms:
-        atoms = serialize.decode_atoms(serialize.load_document(args.atoms), args.atoms)
-    else:
-        atoms = default_atoms(cone.base.blocks[0], _atom_count(args, 1), args.seed)
+    atoms = _load_atoms(args, cone.base)
     med = mediating_map(cone, atoms, max_residual=args.max_residual)
     err = factorization_error(cone, med)
     unique = uniqueness_check(cone, atoms, trials=args.trials, seed=args.seed)
@@ -213,48 +179,29 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
+# name -> (default depth, tower at a depth, atom set)
+DEMOS = {
+    "circuit1": (3, fixtures.circuit1_sequence, fixtures.circuit1_atoms),
+    "circuit2": (3, fixtures.circuit2_sequence, fixtures.circuit2_atoms),
+    "equator": (4, fixtures.equator_sequence, fixtures.equator_atoms),
+    "unknown-qubit": (4, fixtures.unknown_qubit_sequence, fixtures.bloch_grid_atoms),
+    "coin": (
+        5,
+        lambda depth: classical.encode_seq(fixtures.coin_sequence(depth)),
+        lambda: explicit_atoms(map(classical.encode_dist, fixtures.coin_grid())),
+    ),
+}
+
+
 def cmd_demo(args) -> int:
-    name = args.name
-    rows: list[str] = [f"demo: {name}"]
-    doc: dict = {"demo": name}
-    if name == "coin":
-        depth = args.depth or 5
-        seq = fixtures.coin_sequence(depth)
-        report = classical.check_exchangeable_measures(seq)
-        grid = fixtures.coin_grid()
-        weights, residual = classical.hs_reconstruct(seq, grid)
-        rows += _report_lines(report, "classical")
-        rows.append(f"residual: {residual:.3e}")
-        rows += _weight_lines(weights, names=[f"bias {g.probs[0]:.2f}" for g in grid])
-        doc.update(
-            {
-                "report": serialize.encode_report(report, "classical"),
-                "weights": [float(w) for w in weights],
-                "residual": residual,
-            }
-        )
-        _emit(args, rows, doc)
-        return EXIT_OK
-
-    if name == "circuit1":
-        depth = args.depth or 3
-        seq, atoms = fixtures.circuit1_sequence(depth), fixtures.circuit1_atoms()
-    elif name == "circuit2":
-        depth = args.depth or 3
-        seq, atoms = fixtures.circuit2_sequence(depth), fixtures.circuit2_atoms()
-    elif name == "equator":
-        depth = args.depth or 4
-        seq, atoms = fixtures.equator_sequence(depth), fixtures.equator_atoms()
-    elif name == "unknown-qubit":
-        depth = args.depth or 4
-        seq, atoms = fixtures.unknown_qubit_sequence(depth), fixtures.bloch_grid_atoms()
-    else:
-        raise SchemaError(f"unknown demo {name!r}")
-
+    default_depth, tower, atom_set = DEMOS[args.name]
+    seq = tower(default_depth if args.depth is None else args.depth)
+    atoms = atom_set()
+    kind = _kind(seq)
     report = check_exchangeable(seq)
     mixture, residual = reconstruct(seq, atoms)
     rank = moment_rank(atoms, seq.depth)
-    rows += _report_lines(report, "quantum")
+    rows = [f"demo: {args.name}"] + _report_lines(report, kind)
     rows.append(f"residual: {residual:.3e}")
     rows += _weight_lines(mixture.weights)
     rows.append(
@@ -263,15 +210,14 @@ def cmd_demo(args) -> int:
     )
     bary_gap = state_distance(mixture.barycenter(), seq.level(1))
     rows.append(f"level-1 barycenter gap: {bary_gap:.3e}")
-    doc.update(
-        {
-            "report": serialize.encode_report(report, "quantum"),
-            "mixture": serialize.encode_mixture(mixture),
-            "residual": residual,
-            "moment_rank": rank,
-            "barycenter_gap": bary_gap,
-        }
-    )
+    doc = {
+        "demo": args.name,
+        "report": serialize.encode_report(report, kind),
+        "mixture": serialize.encode_mixture(mixture),
+        "residual": residual,
+        "moment_rank": rank,
+        "barycenter_gap": bary_gap,
+    }
     _emit(args, rows, doc)
     return EXIT_OK
 
@@ -314,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("demo", help="run a canned scenario end to end")
-    sp.add_argument(
-        "name", choices=("circuit1", "circuit2", "equator", "unknown-qubit", "coin")
-    )
+    sp.add_argument("name", choices=tuple(DEMOS))
     common(sp, needs_input=False)
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
@@ -324,11 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_options(args) -> None:
+    """Refuse an out-of-range numeric option before any work starts."""
+    for name in ("tol", "max_residual"):
+        if getattr(args, name, None) is not None:
+            serialize.decode_tol(getattr(args, name), "--" + name.replace("_", "-"))
+    for name, least in (("seed", 0), ("trials", 2), ("depth", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise SchemaError(f"--{name} {value} must be at least {least}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "tol", None) is not None:
-            serialize.decode_tol(args.tol, "--tol")
+        _check_options(args)
         return args.func(args)
     except json.JSONDecodeError as e:
         print(f"parse error: {e.msg} at line {e.lineno} column {e.colno}", file=sys.stderr)

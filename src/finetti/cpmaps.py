@@ -119,11 +119,16 @@ def apply(f: ChoiMap, x):
         if x.algebra != f.source:
             raise ValueError(f"state lives on {x.algebra}, map expects {f.source}")
         dense = state_to_dense(x)
-    out = np.einsum("ij,ikjl->kl", dense, f._choi4())
-    blocks = dense_to_blocks(f.target, out)
+    blocks = dense_to_blocks(f.target, apply_dense(f, dense))
     if f.direction == HEISENBERG:
         return Element(f.target, blocks)
     return StateVec(f.target, blocks)
+
+
+def apply_dense(f: ChoiMap, dense: np.ndarray) -> np.ndarray:
+    """The map's Choi action on a rep-space matrix of its source, as a
+    rep-space matrix of its target (no block cut, no type check)."""
+    return np.einsum("ij,ikjl->kl", dense, f._choi4())
 
 
 def is_completely_positive(f: ChoiMap, tol: float = PSD_TOL) -> bool:

@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from . import symmetric
-from .cpmaps import SCHRODINGER, ChoiMap, apply
+from .cpmaps import SCHRODINGER, ChoiMap, apply, apply_dense
 from .cstar import (
     Algebra,
     StateVec,
@@ -39,6 +39,7 @@ from .exchange import (
     ExchangeReport,
     check_exchangeable,
     power_algebra,
+    _distance,
     _pack,
     _unpack,
 )
@@ -243,11 +244,8 @@ def synthesize(mix: Mixture, depth: int, tolerance: float = SYNTH_TOL) -> ExchSe
     """The exchangeable sequence of a mixture: ``rho_n = sum_k w_k sigma_k^(x n)``."""
     base = mix.atomset.base
     coords = (mix.atomset.design(depth) @ mix.weights)[None]
-    states = [
-        _unpack(base, n, level[0], StateVec)
-        for n, level in enumerate(symmetric.unproject(base, coords, depth), start=1)
-    ]
-    return ExchSeq(base, depth, states, tolerance)
+    levels = symmetric.unproject(base, coords, depth)
+    return ExchSeq(base, tuple(level[0] for level in levels), tolerance)
 
 
 # --- moment systems -----------------------------------------------------------
@@ -263,16 +261,15 @@ def moment_matrix(atoms: AtomSet, depth: int) -> np.ndarray:
 
 
 def sequence_vector(seq: ExchSeq, depth: int | None = None) -> np.ndarray:
-    depth = seq.depth if depth is None else depth
-    return np.concatenate(
-        [_pack(seq.base, seq.level(n)).ravel() for n in range(1, depth + 1)]
-    )
+    if depth is not None:
+        seq = seq.truncate(depth)
+    return np.concatenate([lv.ravel() for lv in seq.levels])
 
 
 def _projected(seq: ExchSeq) -> tuple[np.ndarray, float]:
     """The sequence in the rows of :meth:`AtomSet.design`, and the norm of
     its part that no mixture reaches (:func:`finetti.symmetric.project`)."""
-    return symmetric.project(seq.base, [_pack(seq.base, s) for s in seq.states])
+    return symmetric.project(seq.base, seq.levels)
 
 
 def moment_rank(atoms: AtomSet, depth: int) -> int:
@@ -366,9 +363,16 @@ class Cone:
         return apply(self.channels[n - 1], kappa)
 
     def sequence(self, kappa: StateVec, tolerance: float | None = None) -> ExchSeq:
+        """The tower of the channels' outputs at ``kappa``, packed straight
+        from the outputs' rep-space matrices."""
         tol = self.tolerance if tolerance is None else tolerance
-        states = [self.at(kappa, n) for n in range(1, self.depth + 1)]
-        return ExchSeq(self.base, self.depth, states, tol)
+        if kappa.algebra != self.apex:
+            raise ValueError(f"state lives on {kappa.algebra}, apex is {self.apex}")
+        dense = state_to_dense(kappa)
+        levels = [apply_dense(ch, dense) for ch in self.channels]
+        if self.base.is_commutative:  # the block values sit on the diagonal
+            levels = [lv.diagonal() for lv in levels]
+        return ExchSeq(self.base, tuple(levels), tol)
 
 
 def probe_states(algebra: Algebra) -> tuple[list[StateVec], np.ndarray]:
@@ -514,8 +518,8 @@ def factorization_error(cone: Cone, med: MediatingMap) -> float:
     worst = 0.0
     for kappa, w in zip(med.probes, med.weights):
         synth = synthesize(Mixture(med.atomset, w), cone.depth)
-        for n in range(1, cone.depth + 1):
-            worst = max(worst, state_distance(cone.at(kappa, n), synth.level(n)))
+        for got, want in zip(cone.sequence(kappa).levels, synth.levels):
+            worst = max(worst, _distance(got, want))
     return worst
 
 

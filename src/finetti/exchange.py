@@ -196,50 +196,64 @@ def symmetry_probes(n: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class ExchSeq:
-    """States ``rho_1 .. rho_N`` on the tensor-power tower over ``base``."""
+    """States ``rho_1 .. rho_N`` on the tensor-power tower over ``base``.
+
+    Each level is held packed and read-only: level n is a ``d^n x d^n``
+    matrix on a single-block base, or a length ``b^n`` vector of block
+    values on a commutative base on ``b`` points.  :meth:`level` gives it
+    back as a :class:`~finetti.cstar.StateVec`; :func:`make_exch_seq` builds
+    a tower from StateVecs.
+    """
 
     base: Algebra
-    depth: int
-    states: list[StateVec] = field(repr=False)
+    levels: tuple[np.ndarray, ...] = field(repr=False)
     tolerance: float = DEFAULT_SEQ_TOL
 
     def __post_init__(self) -> None:
-        if self.depth != len(self.states):
-            raise ValueError(f"depth {self.depth} != {len(self.states)} states")
-        if self.depth < 1:
+        if not self.levels:
             raise ValueError("need at least one level")
-        for n, s in enumerate(self.states, start=1):
-            expect = power_algebra(self.base, n)
-            if s.algebra != expect:
-                raise ValueError(f"level {n} lives on {s.algebra}, expected {expect}")
+        d = _slot_count(self.base)
+        axes = 2 if _base_kind(self.base) == "quantum" else 1
+        self.levels = tuple(map(np.array, self.levels))
+        for n, lv in enumerate(self.levels, start=1):
+            if lv.shape != (d**n,) * axes:
+                raise ValueError(f"level {n} has shape {lv.shape}, expected {(d**n,) * axes}")
+            lv.setflags(write=False)
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
 
     def level(self, n: int) -> StateVec:
         if not 1 <= n <= self.depth:
             raise ValueError(f"level {n} outside 1..{self.depth}")
-        return self.states[n - 1]
+        return _unpack(self.base, n, self.levels[n - 1], StateVec)
 
     def truncate(self, depth: int) -> "ExchSeq":
         if not 1 <= depth <= self.depth:
             raise ValueError(f"cannot truncate depth {self.depth} to {depth}")
-        return ExchSeq(self.base, depth, self.states[:depth], self.tolerance)
+        return ExchSeq(self.base, self.levels[:depth], self.tolerance)
 
 
 def make_exch_seq(base: Algebra, states, tolerance: float = DEFAULT_SEQ_TOL) -> ExchSeq:
-    states = list(states)
-    return ExchSeq(base, len(states), states, tolerance)
+    """The tower of the states ``rho_1 .. rho_N``, level n a StateVec on
+    the n-th tensor power of ``base``."""
+    levels = []
+    for n, s in enumerate(states, start=1):
+        expect = power_algebra(base, n)
+        if s.algebra != expect:
+            raise ValueError(f"level {n} lives on {s.algebra}, expected {expect}")
+        levels.append(_pack(base, s))
+    return ExchSeq(base, tuple(levels), tolerance)
 
 
 def iid_extend(sigma: StateVec, depth: int, tolerance: float = DEFAULT_SEQ_TOL) -> ExchSeq:
     """The iid tower of a level-1 state: level n is the n-fold tensor power."""
-    base = sigma.algebra
-    _base_kind(base)
-    arr = _pack(base, sigma)
-    states, cur = [], arr
-    for n in range(1, depth + 1):
-        states.append(_unpack(base, n, cur, StateVec))
-        if n < depth:
-            cur = np.kron(cur, arr)
-    return make_exch_seq(base, states, tolerance)
+    first = make_exch_seq(sigma.algebra, [sigma]).levels[0]
+    levels = [first]
+    for _ in range(depth - 1):
+        levels.append(np.kron(levels[-1], first))
+    return ExchSeq(sigma.algebra, tuple(levels[:depth]), tolerance)
 
 
 @dataclass
@@ -299,8 +313,7 @@ def check_exchangeable(seq: ExchSeq) -> ExchangeReport:
     witnessing source level).  The verdict compares the bound, not the
     adjacent gap, with the tolerance.
     """
-    levels = [_pack(seq.base, s) for s in seq.states]
-    return _check_levels(levels, _slot_count(seq.base), seq.tolerance)
+    return _check_levels(seq.levels, _slot_count(seq.base), seq.tolerance)
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .classical import ClassicalExchSeq, FinDist
+from .classical import probability_vector
 from .cpmaps import (
     HEISENBERG,
     SCHRODINGER,
@@ -197,12 +197,19 @@ def _decode_density(alg: Algebra, dens: list, path: str) -> StateVec:
 # --- sequences ------------------------------------------------------------------
 
 def encode_exch_seq(seq: ExchSeq) -> dict:
-    if seq.base.n_blocks != 1:
-        raise ValueError("only single-block bases have a quantum sequence format")
+    """The quantum sequence document on a single-block base, the classical
+    one (points labelled 0..b-1) on a commutative base."""
+    if seq.base.is_commutative:
+        return {
+            "space": list(range(seq.base.n_blocks)),
+            "depth": seq.depth,
+            "measures": [lv.real.tolist() for lv in seq.levels],
+            "tol": seq.tolerance,
+        }
     return {
         "base_dim": seq.base.blocks[0],
         "depth": seq.depth,
-        "states": [encode_matrix(seq.level(n).dens[0]) for n in range(1, seq.depth + 1)],
+        "states": [encode_matrix(lv) for lv in seq.levels],
         "tol": seq.tolerance,
     }
 
@@ -216,29 +223,23 @@ def decode_exch_seq(doc, path: str = "sequence") -> ExchSeq:
     if not isinstance(mats, list) or len(mats) != depth:
         _fail(path, f"'states' must list {depth} matrices")
     tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
-    base = Algebra((d,))
-    states = []
+    levels = []
     for n, m in enumerate(mats, start=1):
-        mat = decode_matrix(m, f"{path}.states[{n - 1}]")
+        at = f"{path}.states[{n - 1}]"
+        mat = decode_matrix(m, at)
         if mat.shape != (d**n, d**n):
             _fail(path, f"level {n} matrix is {mat.shape}, expected {(d**n, d**n)}")
-        states.append(_decode_density(Algebra((d**n,)), [mat], f"{path}.states[{n - 1}]"))
+        levels.append(_decode_density(Algebra((d**n,)), [mat], at).dens[0])
     try:
-        return ExchSeq(base, depth, states, tol)
+        return ExchSeq(Algebra((d,)), tuple(levels), tol)
     except ValueError as e:
         _fail(path, str(e))
 
 
-def encode_classical_seq(seq: ClassicalExchSeq) -> dict:
-    return {
-        "space": list(seq.space),
-        "depth": seq.depth,
-        "measures": [list(map(float, seq.level(n).probs)) for n in range(1, seq.depth + 1)],
-        "tol": seq.tolerance,
-    }
-
-
-def decode_classical_seq(doc, path: str = "sequence") -> ClassicalExchSeq:
+def decode_classical_seq(doc, path: str = "sequence") -> ExchSeq:
+    """A classical sequence document as the tower on the commutative base of
+    its space.  The labels are not kept: level n is the probability vector
+    over ``space^n`` in lexicographic order."""
     space = _require(doc, "space", path)
     if not isinstance(space, list) or len(space) < 2:
         _fail(path, "'space' must list at least two labels")
@@ -247,19 +248,19 @@ def decode_classical_seq(doc, path: str = "sequence") -> ClassicalExchSeq:
     if not isinstance(rows, list) or len(rows) != depth:
         _fail(path, f"'measures' must list {depth} probability vectors")
     tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
-    from .classical import tuple_space
-
-    measures = []
+    levels = []
     for n, row in enumerate(rows, start=1):
-        if not isinstance(row, list) or len(row) != len(space) ** n:
-            _fail(path, f"level {n} must have {len(space) ** n} probabilities")
-        probs = decode_reals(row, f"{path}.measures[{n - 1}]")
+        at = f"{path}.measures[{n - 1}]"
+        size = len(space) ** n
+        if not isinstance(row, list) or len(row) != size:
+            _fail(path, f"level {n} must have {size} probabilities")
+        probs = decode_reals(row, at)
         try:
-            measures.append(FinDist(tuple_space(space, n), probs))
+            levels.append(probability_vector(probs, size))
         except ValueError as e:
-            _fail(f"{path}.measures[{n - 1}]", str(e))
+            _fail(at, str(e))
     try:
-        return ClassicalExchSeq(space, depth, measures, tol)
+        return ExchSeq(Algebra((1,) * len(space)), tuple(levels), tol)
     except ValueError as e:
         _fail(path, str(e))
 
@@ -279,10 +280,14 @@ def decode_atoms(doc, path: str = "atoms") -> AtomSet:
     from .definetti import explicit_atoms
 
     if isinstance(doc, dict) and "grid" in doc:
-        space = _require(doc, "space", path)
+        space, grid = _require(doc, "space", path), doc["grid"]
+        if not isinstance(space, list) or len(space) < 2:
+            _fail(path, "'space' must list at least two labels")
+        if not isinstance(grid, list) or not grid:
+            _fail(path, "'grid' must be a non-empty list of probability rows")
         k = len(space)
         states = []
-        for i, row in enumerate(doc["grid"]):
+        for i, row in enumerate(grid):
             if not isinstance(row, list) or len(row) != k:
                 _fail(path, f"grid row {i} must have {k} probabilities")
             dens = [np.array([[decode_complex(p, f"{path}.grid[{i}]")]]) for p in row]

@@ -7,7 +7,6 @@ from finetti.classical import (
     Kernel,
     bernoulli,
     check_exchangeable_measures,
-    classical_moment_matrix,
     classical_moment_rank,
     dirac,
     encode_dist,
@@ -233,12 +232,6 @@ def test_classical_moment_rank_matches_vandermonde():
         grid = coin_grid(biases)
         got = classical_moment_rank(grid, depth)
         assert got == min(vandermonde_rank(biases, depth), len(biases))
-
-
-def test_classical_moment_matrix_shape():
-    grid = coin_grid((0.0, 0.5, 1.0))
-    m = classical_moment_matrix(grid, 2)
-    assert m.shape == (2 + 4, 3)
 
 
 def test_hs_reconstruct_recovers_coin_mixture():

@@ -19,23 +19,42 @@ from finetti.cli import (
     EXIT_SOLVER,
     main,
 )
+from finetti.classical import (
+    FinDist,
+    bernoulli,
+    check_exchangeable_measures,
+    classical_moment_rank,
+    encode_dist,
+    encode_seq,
+    hs_reconstruct,
+    synthesize_measures,
+)
 from finetti.cpmaps import SCHRODINGER, choi_from_function
 from finetti.cstar import Algebra
-from finetti.definetti import Cone
+from finetti.definetti import Cone, explicit_atoms
 from finetti.fixtures import (
+    COIN_SPACE,
     QUBIT,
     broken_cone,
+    circuit1_atoms,
     circuit1_sequence,
+    coin_grid,
     coin_sequence,
     measure_prepare_cone,
     singlet_sequence,
 )
 from finetti.serialize import (
     dump_document,
-    encode_classical_seq,
+    encode_atoms,
     encode_cone,
     encode_exch_seq,
+    encode_report,
 )
+
+
+def classical_doc(seq) -> dict:
+    """The classical document of a family of measures, labels included."""
+    return dict(encode_exch_seq(encode_seq(seq)), space=seq.space)
 
 
 @pytest.fixture
@@ -55,7 +74,7 @@ def singlet_file(tmp_path):
 @pytest.fixture
 def coin_file(tmp_path):
     path = tmp_path / "coin.json"
-    dump_document(encode_classical_seq(coin_sequence(depth=5)), str(path))
+    dump_document(classical_doc(coin_sequence(depth=5)), str(path))
     return str(path)
 
 
@@ -227,6 +246,115 @@ def test_reconstruct_classical_exact_grid(capsys, coin_file, tmp_path):
     assert np.allclose(doc["weights"], [1 / 3, 1 / 3, 1 / 3], atol=1e-8)
 
 
+def _classical_case(case):
+    """A classical sequence, a grid over its space, and whether the grid goes
+    to ``reconstruct`` in an ``--atoms`` file (else it is the default one)."""
+    if case == "six-point-atoms-grid":
+        rng = np.random.default_rng(6)
+        space = [f"x{i}" for i in range(6)]
+        grid = [FinDist(space, p) for p in rng.dirichlet(np.ones(6), size=8)]
+        return synthesize_measures(grid[:3], rng.dirichlet(np.ones(3)), 4), grid, True
+    seq = coin_sequence(depth=5)
+    if case == "coin-default-grid":
+        return seq, [bernoulli(COIN_SPACE, j / 199) for j in range(200)], False
+    return seq, coin_grid((0.0, 0.25, 0.5, 0.75, 1.0)), True
+
+
+@pytest.mark.parametrize(
+    "case", ["coin-default-grid", "coin-atoms-grid", "six-point-atoms-grid"]
+)
+def test_classical_documents_match_the_classical_route(capsys, tmp_path, case):
+    # The tower on the commutative base gives, bit for bit, what the
+    # measure-level routines give, and the labels come back from the input.
+    seq, grid, grid_file = _classical_case(case)
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(classical_doc(seq)))
+    code, doc = run_json(capsys, ["check", "--input", str(path), "--format", "json"])
+    assert code == EXIT_OK
+    report = check_exchangeable_measures(seq)
+    assert doc == json.loads(json.dumps(encode_report(report, "classical")))
+
+    argv = ["reconstruct", "--input", str(path), "--format", "json"]
+    rows = [g.probs.tolist() for g in grid]
+    if grid_file:
+        atoms = tmp_path / "grid.json"
+        atoms.write_text(json.dumps({"space": list(range(len(seq.space))), "grid": rows}))
+        argv += ["--atoms", str(atoms)]
+    code, doc = run_json(capsys, argv)
+    weights, residual = hs_reconstruct(seq, grid)
+    rank = classical_moment_rank(grid, seq.depth)
+    assert code == EXIT_OK
+    assert doc == {
+        "space": seq.space,
+        "grid": rows,
+        "weights": weights.tolist(),
+        "residual": residual,
+        "moment_rank": rank,
+        "degenerate": rank < len(grid),
+    }
+
+
+def test_reconstruct_echoes_the_labels_of_the_input(capsys, coin_file):
+    code, doc = run_json(capsys, ["reconstruct", "--input", coin_file, "--format", "json"])
+    assert code == EXIT_OK
+    assert doc["space"] == ["H", "T"]
+
+
+@pytest.mark.parametrize(
+    "command, tower, atoms",
+    [
+        ("reconstruct", "coin", {"space": 5, "grid": [[0.5, 0.5]]}),
+        ("reconstruct", "coin", {"space": [0, 1], "grid": 3}),
+        ("reconstruct", "coin", {"space": [0, 1], "grid": []}),
+        ("reconstruct", "coin", {"space": [0, 1, 2], "grid": [[0.2, 0.3, 0.5]]}),
+        ("reconstruct", "seq", {"space": [0, 1], "grid": [[0.5, 0.5]]}),
+        ("factor", "cone", {"space": [0, 1], "grid": [[0.5, 0.5]]}),
+    ],
+    ids=["space-not-list", "grid-not-list", "grid-empty", "grid-3pt", "grid-on-qubit", "grid-on-cone"],
+)
+def test_atom_documents_that_do_not_fit_exit_2(
+    capsys, tmp_path, coin_file, seq_file, cone_file, command, tower, atoms
+):
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(atoms))
+    tower = {"coin": coin_file, "seq": seq_file, "cone": cone_file}[tower]
+    code = main([command, "--input", tower, "--atoms", str(path)])
+    _assert_invalid_input(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["reconstruct", "--input", "singlet", "--max-residual", "nan"], "--max-residual"),
+        (["reconstruct", "--input", "singlet", "--max-residual", "-1"], "--max-residual"),
+        (["factor", "--input", "cone", "--atom-count", "40", "--max-residual", "nan"], "--max-residual"),
+        (["reconstruct", "--input", "singlet", "--seed", "-1"], "--seed"),
+        (["factor", "--input", "cone", "--seed", "-1"], "--seed"),
+        (["factor", "--input", "cone", "--trials", "-1"], "--trials"),
+        (["factor", "--input", "cone", "--trials", "0"], "--trials"),
+        (["factor", "--input", "cone", "--trials", "1"], "--trials"),
+        (["demo", "coin", "--depth", "-1"], "--depth"),
+        (["demo", "coin", "--depth", "0"], "--depth"),
+    ],
+    ids=[
+        "max-residual-nan",
+        "max-residual-negative",
+        "factor-max-residual-nan",
+        "seed-negative",
+        "factor-seed-negative",
+        "trials-negative",
+        "trials-0",
+        "trials-1",
+        "demo-depth-negative",
+        "demo-depth-0",
+    ],
+)
+def test_numeric_options_out_of_range_exit_2(capsys, singlet_file, cone_file, argv, option):
+    files = {"singlet": singlet_file, "cone": cone_file}
+    code = main([files.get(a, a) for a in argv])
+    _assert_invalid_input(capsys, code, f"invalid input: {option}")
+
+
 def test_reconstruct_not_representable_exit(capsys, singlet_file):
     code = main(
         [
@@ -298,7 +426,7 @@ def test_demo_all_scenarios(capsys):
 
 
 def test_demo_json_format(capsys):
-    for name in ("circuit1", "circuit2", "equator", "unknown-qubit"):
+    for name in ("circuit1", "circuit2", "equator", "unknown-qubit", "coin"):
         code, doc = run_json(capsys, ["demo", name, "--format", "json"])
         assert code == EXIT_OK
         assert doc["demo"] == name
@@ -485,10 +613,17 @@ def test_factor_refuses_a_cone_that_is_not_completely_positive(capsys, tmp_path)
 
 # --- the exit-code contract on malformed documents -----------------------------
 
+# kind -> (valid document, command, the tower an atom document is fitted to)
 VALID_DOCS = {
-    "quantum": (encode_exch_seq(circuit1_sequence(2)), "check"),
-    "classical": (encode_classical_seq(coin_sequence(depth=2)), "check"),
-    "cone": (encode_cone(measure_prepare_cone(2)), "factor"),
+    "quantum": (encode_exch_seq(circuit1_sequence(2)), "check", None),
+    "classical": (classical_doc(coin_sequence(depth=2)), "check", None),
+    "cone": (encode_cone(measure_prepare_cone(2)), "factor", None),
+    "atoms": (encode_atoms(circuit1_atoms()), "reconstruct", encode_exch_seq(circuit1_sequence(2))),
+    "grid": (
+        encode_atoms(explicit_atoms(map(encode_dist, coin_grid()))),
+        "reconstruct",
+        classical_doc(coin_sequence(depth=2)),
+    ),
 }
 # No value here is a number or a valid direction ('H' or 'S'), so none can
 # stand in for the value it replaces.
@@ -525,8 +660,9 @@ def _paths(node, prefix=()):
 def test_malformed_documents_exit_2_with_one_line(capsys, tmp_path, kind, data):
     # One location of a valid document is replaced by a value of the wrong
     # kind, or deleted.  Labels of a classical space may be anything, and the
-    # tolerance is optional, so neither is touched that way.
-    valid, command = VALID_DOCS[kind]
+    # tolerance is optional, so neither is touched that way; an atom
+    # dictionary less one atom is still valid, so no atom is deleted.
+    valid, command, tower = VALID_DOCS[kind]
     doc = json.loads(json.dumps(valid))
     paths = [p for p in _paths(doc) if p[:1] != ("space",)]
     where = data.draw(st.sampled_from(paths), label="where")
@@ -534,10 +670,17 @@ def test_malformed_documents_exit_2_with_one_line(capsys, tmp_path, kind, data):
         doc = data.draw(JUNK, label="document")
     else:
         parent = functools.reduce(operator.getitem, where[:-1], doc)
-        if where[-1] != "tol" and data.draw(st.booleans(), label="delete"):
+        whole_atom = len(where) == 2 and where[0] in ("atoms", "grid")
+        if where[-1] != "tol" and not whole_atom and data.draw(st.booleans(), label="delete"):
             del parent[where[-1]]
         else:
             parent[where[-1]] = data.draw(JUNK, label="value")
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    _assert_invalid_input(capsys, main([command, "--input", str(path)]))
+    if tower is None:
+        argv = [command, "--input", str(path)]
+    else:
+        tower_path = tmp_path / "tower.json"
+        tower_path.write_text(json.dumps(tower))
+        argv = [command, "--input", str(tower_path), "--atoms", str(path)]
+    _assert_invalid_input(capsys, main(argv))

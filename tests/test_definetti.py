@@ -233,11 +233,9 @@ def test_reconstruct_projects_level_1_outside_the_hull():
 def test_reconstruct_requires_exchangeability():
     k0 = np.diag([1.0, 0.0]).astype(complex)
     k1 = np.diag([0.0, 1.0]).astype(complex)
-    from finetti.exchange import ExchSeq
-
     lvl1 = make_state(QUBIT, (np.eye(2) / 2,))
     lvl2 = make_state(power_algebra(QUBIT, 2), (np.kron(k0, k1),))
-    seq = ExchSeq(QUBIT, 2, (lvl1, lvl2), 1e-9)
+    seq = make_exch_seq(QUBIT, (lvl1, lvl2), 1e-9)
     with pytest.raises(NotExchangeable) as err:
         reconstruct(seq, circuit1_atoms())
     assert not err.value.report.ok

@@ -13,7 +13,6 @@ from finetti.classical import (
 )
 from finetti.cstar import Algebra, Element, eval_state, make_state
 from finetti.exchange import (
-    ExchSeq,
     check_exchangeable,
     eta_sigma,
     eta_tau,
@@ -377,14 +376,14 @@ def test_make_exch_seq_and_levels():
     ]
     seq = make_exch_seq(QUBIT, states)
     assert seq.depth == 3
-    assert seq.level(2) is states[1]
+    assert np.array_equal(seq.level(2).dens[0], states[1].dens[0])
     with pytest.raises(ValueError):
         seq.level(0)
     with pytest.raises(ValueError):
         seq.level(4)
     trunc = seq.truncate(2)
     assert trunc.depth == 2
-    assert trunc.level(1) is states[0]
+    assert np.array_equal(trunc.level(1).dens[0], states[0].dens[0])
 
 
 def _kron_power(rho, n):
@@ -415,7 +414,7 @@ def test_check_exchangeable_flags_asymmetric_level():
     k1 = np.diag([0.0, 1.0]).astype(complex)
     lvl1 = make_state(QUBIT, (np.eye(2) / 2,))
     lvl2 = make_state(power_algebra(QUBIT, 2), (np.kron(k0, k1),))  # ordered pair
-    seq = ExchSeq(QUBIT, 2, (lvl1, lvl2), 1e-9)
+    seq = make_exch_seq(QUBIT, (lvl1, lvl2), 1e-9)
     report = check_exchangeable(seq)
     assert not report.ok
     lvl = report.levels[1]
@@ -430,7 +429,7 @@ def test_check_exchangeable_flags_inconsistent_marginals():
     rho_b = random_density(2, rng)
     lvl1 = make_state(QUBIT, (rho_a,))
     lvl2 = make_state(power_algebra(QUBIT, 2), (np.kron(rho_b, rho_b),))
-    seq = ExchSeq(QUBIT, 2, (lvl1, lvl2), 1e-9)
+    seq = make_exch_seq(QUBIT, (lvl1, lvl2), 1e-9)
     report = check_exchangeable(seq)
     assert not report.ok
     lvl = report.levels[0]  # the marginal defect is charged to the lower level

@@ -10,7 +10,8 @@ from finetti.cpmaps import (
     depolarizing_map,
     maps_close,
 )
-from finetti.cstar import make_state, state_distance
+from finetti.classical import encode_seq
+from finetti.cstar import Algebra, make_state, state_distance
 from finetti.definetti import Mixture, check_cone, default_atoms
 from finetti.fixtures import (
     QUBIT,
@@ -36,7 +37,6 @@ from finetti.serialize import (
     dump_document,
     encode_atoms,
     encode_choi,
-    encode_classical_seq,
     encode_complex,
     encode_cone,
     encode_exch_seq,
@@ -173,7 +173,7 @@ def test_decoded_maps_must_be_channels():
 def test_integer_fields_refuse_booleans():
     docs = {
         decode_exch_seq: encode_exch_seq(circuit1_sequence(1)),
-        decode_classical_seq: encode_classical_seq(coin_sequence(depth=1)),
+        decode_classical_seq: encode_exch_seq(encode_seq(coin_sequence(depth=1))),
         decode_cone: encode_cone(measure_prepare_cone(1)),
     }
     for decode, doc in docs.items():
@@ -214,18 +214,22 @@ def test_sequences_need_at_least_one_level():
 
 def test_classical_seq_round_trip():
     seq = coin_sequence(depth=3)
-    back = decode_classical_seq(json_round(encode_classical_seq(seq)))
-    assert back.space == seq.space
+    doc = json_round(encode_exch_seq(encode_seq(seq)))
+    assert doc["space"] == [0, 1]  # a tower keeps no labels
+    back = decode_classical_seq(doc)
+    assert back.base == Algebra((1, 1))
     assert back.depth == 3
-    for a, b in zip(back.measures, seq.measures):
-        assert np.array_equal(a.probs, b.probs)
+    assert back.tolerance == seq.tolerance
+    for a, b in zip(back.levels, seq.measures):
+        assert np.array_equal(a, b.probs)
 
 
 def test_detect_sequence_dispatch():
     q = detect_sequence(encode_exch_seq(circuit1_sequence(2)))
-    assert hasattr(q, "base")
-    c = detect_sequence(encode_classical_seq(coin_sequence(depth=2)))
-    assert hasattr(c, "space")
+    assert q.base == QUBIT
+    c = detect_sequence({"space": ["H", "T"], "depth": 1, "measures": [[0.25, 0.75]]})
+    assert c.base == Algebra((1, 1))
+    assert np.array_equal(c.levels[0], [0.25, 0.75])
     with pytest.raises(SchemaError):
         detect_sequence({"neither": 1})
 
@@ -330,7 +334,7 @@ def test_real_entries_must_be_numbers(entry):
 def test_tol_must_be_a_finite_number_at_least_0():
     docs = {
         decode_exch_seq: encode_exch_seq(circuit1_sequence(2)),
-        decode_classical_seq: encode_classical_seq(coin_sequence(depth=2)),
+        decode_classical_seq: encode_exch_seq(encode_seq(coin_sequence(depth=2))),
         decode_cone: encode_cone(measure_prepare_cone(2)),
     }
     for decode, doc in docs.items():
