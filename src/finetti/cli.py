@@ -256,14 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--atom-count", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-residual", type=float, default=1e-6)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument(
+        "--trials",
+        type=int,
+        default=10,
+        help="uniqueness restarts per probe state, each from a random point "
+        "of a random face of the simplex",
+    )
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("demo", help="run a canned scenario end to end")
     sp.add_argument("name", choices=tuple(DEMOS))
     common(sp, needs_input=False)
     sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_demo)
     return p
 

@@ -540,28 +540,42 @@ def uniqueness_check(
     trials: int = 10,
     seed: int = 0,
 ) -> UniquenessReport:
-    """Re-solve the reconstruction of :func:`reconstruct` from random
-    feasible starts of its stage 1.
+    """Re-solve the reconstruction of :func:`reconstruct` at every probe
+    state from ``trials`` random restarts, seeded by ``seed``.
 
-    With moment-independent atoms every start must land on the same weight
+    A restart seeds stage 1 with a random point of a random q-face of the
+    simplex: Dirichlet(1) weights on ``min(q, k)`` atoms drawn at random, q
+    the dimension of the base.  Stage 1 fits only the q level-1 rows, so its
+    optimum needs at most q atoms; a start on more than q atoms spends one
+    blocked step per extra atom dropping it, which says nothing about the
+    optimal face.  The random face keeps the starts spread over the whole
+    dictionary.
+
+    With moment-independent atoms every restart must land on the same weight
     vector; with degenerate atoms (rank below the atom count) the weight
     spread is reported but only the moment image is expected to agree.  The
     moment spread is the largest entry of the gap between the synthesized
-    levels of two starts.
+    levels of two restarts.  Raises ``ValueError`` when the cone's base is
+    not the atoms' base, as :func:`mediating_map` does.
     """
+    if cone.base != atoms.base:
+        raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
     rng = np.random.default_rng(seed)
     rank = moment_rank(atoms, cone.depth)
     probes, _ = probe_states(cone.apex)
     design = atoms.design(cone.depth)
-    lead = slice(0, atoms.base.dim)
+    q = atoms.base.dim
+    lead = slice(0, q)
     k = len(atoms)
+    face = min(q, k)
     weight_spread = 0.0
     moment_spread = 0.0
     for kappa in probes:
         target, _ = _projected(cone.sequence(kappa))
         sols = np.empty((trials, k))
         for t in range(trials):
-            start = rng.dirichlet(np.ones(k))
+            start = np.zeros(k)
+            start[rng.choice(k, face, replace=False)] = rng.dirichlet(np.ones(face))
             sols[t], _ = lead_first_lstsq(design, target, lead, start=start)
         i, j = np.triu_indices(trials, 1)
         gaps = sols[i] - sols[j]

@@ -597,6 +597,13 @@ def test_demo_takes_no_tolerance(capsys):
     assert exc.value.code == EXIT_PARSE
 
 
+def test_demo_takes_no_seed(capsys):
+    # Every demo's atoms are fixed: a seed would have nothing to draw.
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "circuit1", "--seed", "0"])
+    assert exc.value.code == EXIT_PARSE
+
+
 def test_factor_refuses_a_cone_that_is_not_completely_positive(capsys, tmp_path):
     # Level 1 is the transpose: positive and trace preserving, not CP.
     channels = [

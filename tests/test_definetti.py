@@ -513,6 +513,50 @@ def test_uniqueness_check_flags_degenerate_atoms():
     assert report.max_moment_spread <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "atoms, depth",
+    [(functools.partial(equator_atoms, n), depth) for n in (16, 32) for depth in (2, 3, 4)]
+    + [(bloch_grid_atoms, 3)],
+    ids=[f"equator{n}-d{depth}" for n in (16, 32) for depth in (2, 3, 4)] + ["bloch-d3"],
+)
+def test_uniqueness_restarts_detect_degenerate_weights(atoms, depth):
+    # I/2 is the barycenter of many mixtures over these atoms: restarts on
+    # random faces must land on visibly different weights, one moment image.
+    cone = constant_cone(qubit_state(np.eye(2) / 2), depth=depth)
+    report = uniqueness_check(cone, atoms(), trials=10)
+    assert report.max_weight_spread >= 0.1
+    assert report.max_moment_spread <= 1e-8
+
+
+def test_uniqueness_restarts_skip_the_drop_walk(monkeypatch):
+    # A restart on a random q-face of the simplex starts near stage 1's
+    # optimal face; a dense start over all 50 atoms first drops about k - q
+    # of them one step at a time (about 51 steps per restart).
+    import finetti.solvers as solvers
+
+    steps = []
+    real = solvers._passive_step
+    monkeypatch.setattr(
+        solvers, "_passive_step", lambda *args: steps.append(1) or real(*args)
+    )
+    cone = measure_prepare_cone(3)  # apex A(2): four probe states
+    report = uniqueness_check(cone, default_atoms(2, 50, seed=3), trials=10)
+    restarts = 4 * report.trials
+    assert 0 < len(steps) <= 25 * restarts
+
+
+def test_uniqueness_check_refuses_atoms_on_another_base():
+    cone = measure_prepare_cone(3)  # base A(2), q = 4
+    points = Algebra((1, 1, 1, 1))  # also q = 4
+    on_points = explicit_atoms(
+        make_state(points, [np.array([[p]]) for p in probs])
+        for probs in ([0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1])
+    )
+    for atoms in (on_points, default_atoms(3, 5, seed=0)):
+        with pytest.raises(ValueError, match="cone base .* != atom base"):
+            uniqueness_check(cone, atoms, trials=2)
+
+
 def test_synthesize_matches_eta_invariance():
     atoms = default_atoms(2, 4, seed=11)
     seq = synthesize(Mixture(atoms, np.full(4, 0.25)), 3)
