@@ -490,8 +490,10 @@ def mediating_map(
     """Factor a cone through an atom set.
 
     Checks the cone laws first (raising :class:`ConeLawViolation`), then
-    reconstructs the induced sequence at each probe state; a residual above
-    ``max_residual`` raises :class:`NotRepresentable`.
+    reconstructs the induced sequence at each probe state as
+    :func:`reconstruct` does, all probes in one stacked solve; a residual
+    above ``max_residual`` raises :class:`NotRepresentable` for the first
+    such probe.
     """
     report = check_cone(cone)
     if not report.ok:
@@ -499,17 +501,16 @@ def mediating_map(
     if cone.base != atoms.base:
         raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
     probes, basis = probe_states(cone.apex)
-    rows, residuals = [], []
-    for idx, kappa in enumerate(probes):
-        # Cone laws already certify exchangeability of the probe sequences.
-        mix, res = reconstruct(cone.sequence(kappa), atoms, check=False)
-        if res > max_residual:
-            raise NotRepresentable(idx, res, max_residual)
-        rows.append(mix.weights)
-        residuals.append(res)
-    return MediatingMap(
-        cone.apex, atoms, probes, basis, np.stack(rows), np.array(residuals)
+    # Cone laws already certify exchangeability of the probe sequences.
+    targets, offs = zip(*(_projected(cone.sequence(kappa)) for kappa in probes))
+    weights, fits = lead_first_lstsq(
+        atoms.design(cone.depth), np.stack(targets), slice(0, atoms.base.dim)
     )
+    residuals = np.hypot(fits, offs)
+    for idx, res in enumerate(residuals):
+        if res > max_residual:
+            raise NotRepresentable(idx, float(res), max_residual)
+    return MediatingMap(cone.apex, atoms, probes, basis, weights, residuals)
 
 
 def factorization_error(cone: Cone, med: MediatingMap) -> float:
@@ -549,15 +550,21 @@ def uniqueness_check(
     optimum needs at most q atoms; a start on more than q atoms spends one
     blocked step per extra atom dropping it, which says nothing about the
     optimal face.  The random face keeps the starts spread over the whole
-    dictionary.
+    dictionary.  The starts are drawn probe by probe, restart by restart,
+    and the probes x trials restarts run as one stacked solve of
+    :func:`~finetti.solvers.lead_first_lstsq`.
 
     With moment-independent atoms every restart must land on the same weight
     vector; with degenerate atoms (rank below the atom count) the weight
     spread is reported but only the moment image is expected to agree.  The
     moment spread is the largest entry of the gap between the synthesized
-    levels of two restarts.  Raises ``ValueError`` when the cone's base is
-    not the atoms' base, as :func:`mediating_map` does.
+    levels of two restarts at one probe.  Raises ``ValueError`` when
+    ``trials`` is below 2, which leaves no pair of restarts to compare, and
+    when the cone's base is not the atoms' base, as :func:`mediating_map`
+    does.
     """
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2, got {trials}")
     if cone.base != atoms.base:
         raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
     rng = np.random.default_rng(seed)
@@ -565,25 +572,21 @@ def uniqueness_check(
     probes, _ = probe_states(cone.apex)
     design = atoms.design(cone.depth)
     q = atoms.base.dim
-    lead = slice(0, q)
     k = len(atoms)
     face = min(q, k)
-    weight_spread = 0.0
-    moment_spread = 0.0
-    for kappa in probes:
-        target, _ = _projected(cone.sequence(kappa))
-        sols = np.empty((trials, k))
-        for t in range(trials):
-            start = np.zeros(k)
-            start[rng.choice(k, face, replace=False)] = rng.dirichlet(np.ones(face))
-            sols[t], _ = lead_first_lstsq(design, target, lead, start=start)
-        i, j = np.triu_indices(trials, 1)
-        gaps = sols[i] - sols[j]
-        weight_spread = max(weight_spread, float(np.abs(gaps).max(initial=0.0)))
-        levels = symmetric.unproject(atoms.base, gaps @ design.T, cone.depth)
-        moment_spread = max(
-            moment_spread, *(float(np.abs(lv).max(initial=0.0)) for lv in levels)
-        )
+    targets = np.stack([_projected(cone.sequence(kappa))[0] for kappa in probes])
+    starts = np.zeros((len(probes) * trials, k))
+    for start in starts:
+        start[rng.choice(k, face, replace=False)] = rng.dirichlet(np.ones(face))
+    sols, _ = lead_first_lstsq(
+        design, np.repeat(targets, trials, axis=0), slice(0, q), start=starts
+    )
+    sols = sols.reshape(len(probes), trials, k)
+    i, j = np.triu_indices(trials, 1)
+    gaps = (sols[:, i] - sols[:, j]).reshape(-1, k)
+    levels = symmetric.unproject(atoms.base, gaps @ design.T, cone.depth)
+    weight_spread = float(np.abs(gaps).max())
+    moment_spread = max(float(np.abs(lv).max()) for lv in levels)
     return UniquenessReport(
         k, rank, rank == k, trials, seed, weight_spread, moment_spread
     )

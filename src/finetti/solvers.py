@@ -15,10 +15,21 @@ the passive set exactly, by a null-space basis of the passive columns of
   optimum.  It is exact on the lead rows when their target lies in the hull
   of the columns, and their projection onto that hull when it does not.
 
+:func:`lead_first_lstsq` also takes a stack of B targets ``b`` (and starts)
+over the shared ``A`` and ``C``, as the restarts and probe fits of a cone
+have them (Van Benthem & Keenan, "Fast algorithm for the solution of
+large-scale non-negativity-constrained least squares problems",
+J. Chemometrics 18, 2004).  The stacked problems step in lockstep: every
+live problem takes the step it takes alone, the passive systems of one step
+padded with zero columns to a common width and solved by one batched SVD, and
+a problem leaves the stack when it passes its optimality test.  A single
+target runs the unstacked loop, which costs less at B = 1.
+
 The solvers raise :class:`SolverDidNotConverge` when the iteration cap is
 reached before the Karush-Kuhn-Tucker test passes, so every returned point
 has passed it (variables set aside as round-off excepted, see
-:func:`_active_set`).
+:func:`_active_set`).  In a stack the cap holds for each problem: a problem
+still live after that many steps raises.
 """
 
 from __future__ import annotations
@@ -47,11 +58,12 @@ def _as_problem(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _default_grad_tol(a: np.ndarray, b: np.ndarray) -> float:
+def _default_grad_tol(a: np.ndarray, b: np.ndarray):
+    """Optimality threshold for the target ``b``, one per row of a stack."""
     # Scaled by the data rows only: an equality row must not loosen the test.
-    m, n = a.shape
-    scale = float(np.abs(a.T @ b).max()) if n else 1.0
-    return EPS * np.sqrt(m) * max(1.0, scale)
+    m = a.shape[0]
+    scale = np.abs(a.T @ b.T).max(axis=0, initial=0.0)
+    return EPS * np.sqrt(m) * np.maximum(1.0, scale)
 
 
 def _max_iter(n: int) -> int:
@@ -168,6 +180,144 @@ def _active_set(
     raise SolverDidNotConverge(f"active set did not converge in {max_iter} iterations")
 
 
+def _passive_steps(
+    ap: np.ndarray, r: np.ndarray, cp: np.ndarray, size: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_passive_step` for a stack of B problems, by two batched SVDs.
+
+    ``ap[i]`` and ``cp[i]`` hold the ``size[i]`` passive columns of problem
+    i, padded with zero columns to a common width.  A padded direction lies
+    in the null space of both, so the minimum-norm step leaves it at zero,
+    and the rank tests count only the ``size[i]`` true columns.
+
+    Returns the steps, the ranks, and for each problem the pseudo-inverse of
+    ``cp[i].T`` at the cut-off :func:`numpy.linalg.lstsq` uses, which fits
+    the equality multipliers to a reduced gradient on the passive set.
+    """
+    width = ap.shape[2]
+    u, s, vt = np.linalg.svd(cp)
+    keep = s > s[:, :1] * np.maximum(size, cp.shape[1])[:, None] * EPS
+    rank = np.minimum(keep.sum(axis=1), size)
+    keep &= np.arange(s.shape[1]) < rank[:, None]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    pinv = (u[:, :, : s.shape[1]] * inv[:, None, :]) @ vt[:, : s.shape[1]]
+    null = vt.transpose(0, 2, 1) * (np.arange(width) >= rank[:, None])[:, None, :]
+    u, s, vt = np.linalg.svd(ap @ null, full_matrices=False)
+    keep = s > tol
+    coef = np.divide(np.einsum("bmk,bm->bk", u, r), s, out=np.zeros_like(s), where=keep)
+    step = np.einsum("bpq,bkq,bk->bp", null, vt, coef)
+    return step, rank + keep.sum(axis=1), pinv
+
+
+def _stacked_active_set(
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    x: np.ndarray,
+    grad_tol: np.ndarray,
+    max_iter: int,
+) -> np.ndarray:
+    """:func:`_active_set` for the rows of ``b`` and ``x``, each a problem
+    with its own ``grad_tol``, over the shared ``a`` and ``c`` (at least one
+    equality row, as in the simplex solves).
+
+    The live problems step in lockstep, each taking the step it takes alone
+    (see :func:`_passive_steps`), and a problem leaves the stack when it
+    passes the optimality test.  One still live after ``max_iter`` steps
+    raises :class:`SolverDidNotConverge`.  A single row runs
+    :func:`_active_set`, which costs less for one problem.
+    """
+    if len(b) == 1:
+        return _active_set(a, b[0], c, x[0], grad_tol[0], max_iter)[None]
+    if not len(b):
+        return x.copy()
+    m = a.shape[0]
+    # Row j holds column j: gathering passive columns copies contiguous rows.
+    at, ct = np.ascontiguousarray(a.T), np.ascontiguousarray(c.T)
+    tol = EPS * max(a.shape) * float(np.sqrt(np.einsum("ij,ij->j", a, a).max()))
+    out = np.empty_like(x)
+    live = np.arange(len(b))
+    x = x.copy()
+    passive = x > 0
+    set_aside = np.zeros_like(passive)
+    entering = np.full(len(b), -1)
+    rank = np.zeros(len(b), dtype=int)
+    grad = np.zeros_like(x)
+    for _ in range(max_iter):
+        rows = np.arange(len(live))
+        size = passive.sum(axis=1)
+        # Passive entries in row-major order fill the leading slots of each row.
+        slot = np.arange(size.max()) < size[:, None]
+        cols = np.nonzero(passive)[1]
+        xp = np.zeros(slot.shape)
+        xp[slot] = x[passive]
+        z, new_rank = x.copy(), np.zeros_like(rank)
+        if slot.shape[1]:
+            apt = np.zeros(slot.shape + (m,))
+            apt[slot] = at[cols]
+            cpt = np.zeros(slot.shape + (c.shape[0],))
+            cpt[slot] = ct[cols]
+            r = b - np.einsum("bpm,bp->bm", apt, xp)
+            step, new_rank, pinv = _passive_steps(
+                apt.transpose(0, 2, 1), r, cpt.transpose(0, 2, 1), size, tol
+            )
+            z[passive] = (xp + step)[slot]
+        zero_tol = EPS * np.maximum(size, 1) * np.maximum(1.0, np.abs(z).max(axis=1))
+        ent = np.maximum(entering, 0)
+        reject = (entering >= 0) & ((new_rank <= rank) | (z[rows, ent] < -zero_tol))
+        # A rejected entrant is set aside and the point stays put, so the
+        # reduced gradient of the step before still holds.
+        set_aside[reject, ent[reject]] = True
+        passive[reject, ent[reject]] = False
+        accept = ~reject
+        rank[accept] = new_rank[accept]
+        set_aside[accept] = False
+        blocked = passive & (z < -zero_tol[:, None]) & accept[:, None]
+        hit = np.flatnonzero(blocked.any(axis=1))
+        if hit.size:
+            xh, zh = x[hit], z[hit]
+            ratios = np.full(xh.shape, np.inf)
+            np.divide(xh, xh - zh, out=ratios, where=blocked[hit])
+            i = np.argmin(ratios, axis=1)
+            step_to = ratios[np.arange(hit.size), i]
+            xh = np.maximum(xh + step_to[:, None] * (zh - xh), 0.0)
+            xh[np.arange(hit.size), i] = 0.0
+            x[hit] = xh
+            passive[hit, i] = False
+            entering[hit] = -1
+        clean = accept.copy()
+        clean[hit] = False
+        kkt = reject | clean
+        cl = np.flatnonzero(clean)
+        if cl.size:
+            x[cl] = np.where(passive[cl], np.maximum(z[cl], 0.0), 0.0)
+            g = (x[cl] @ a.T - b[cl]) @ a
+            if slot.shape[1]:
+                gp = np.zeros((cl.size, slot.shape[1]))
+                gp[slot[cl]] = g[passive[cl]]
+                g += np.einsum("bep,bp->be", pinv[cl], -gp) @ c
+            grad[cl] = g
+        # Karush-Kuhn-Tucker test, as in _active_set.
+        masked = np.where(passive | set_aside, np.inf, grad)
+        new = np.argmin(masked, axis=1)
+        done = kkt & (masked[rows, new] >= -grad_tol)
+        go = kkt & ~done
+        passive[go, new[go]] = True
+        entering[go] = new[go]
+        if done.any():
+            out[live[done]] = x[done]
+            stay = ~done
+            if not stay.any():
+                return out
+            live, x, b, grad_tol = live[stay], x[stay], b[stay], grad_tol[stay]
+            passive, set_aside, grad = passive[stay], set_aside[stay], grad[stay]
+            entering, rank = entering[stay], rank[stay]
+    raise SolverDidNotConverge(
+        f"active set did not converge in {max_iter} iterations "
+        f"for {len(live)} of the stacked problems"
+    )
+
+
 def nnls(
     a: np.ndarray,
     b: np.ndarray,
@@ -202,15 +352,34 @@ def nnls(
 
 
 def _unit_sum(w: np.ndarray) -> np.ndarray:
-    """``w`` scaled to unit sum on the grid of multiples of ``2**-53``.
+    """``w`` scaled to unit sum on the grid of multiples of ``2**-53``, row
+    by row for a stack.
 
     Every partial sum of such entries in ``[0, 1]`` is exact, so the computed
     sum is 1.0 in any summation order; the largest entry absorbs the
     rounding to the grid.
     """
-    units = np.rint(w / w.sum() * 2.0**53).astype(np.int64)
-    units[np.argmax(units)] += 2**53 - units.sum()
+    units = np.rint(w / w.sum(axis=-1, keepdims=True) * 2.0**53).astype(np.int64)
+    flat = units.reshape(-1, units.shape[-1])
+    flat[np.arange(len(flat)), np.argmax(flat, axis=1)] += 2**53 - flat.sum(axis=1)
     return units / 2.0**53
+
+
+def _simplex_start(a: np.ndarray, b: np.ndarray, start) -> np.ndarray:
+    """Feasible start of a simplex solve, row by row for a stack: ``start``
+    scaled to unit sum, or without one the column nearest ``b``."""
+    shape = b.shape[:-1] + (a.shape[1],)
+    if start is None:
+        # The vertex nearest b: argmin_k ||a_k||^2 - 2 a_k . b.
+        near = np.argmin(np.einsum("ij,ij->j", a, a) - 2 * (a.T @ b.T).T, axis=-1)
+        w = np.zeros(shape)
+        np.put_along_axis(w, np.expand_dims(near, -1), 1.0, axis=-1)
+        return w
+    start = np.asarray(start, dtype=float)
+    total = start.sum(axis=-1, keepdims=True)
+    if start.shape != shape or (start < 0).any() or (total <= 0).any():
+        raise ValueError(f"start must be a nonnegative, nonzero array of shape {shape}")
+    return start / total
 
 
 def simplex_lstsq(
@@ -233,15 +402,7 @@ def simplex_lstsq(
     """
     a, b = _as_problem(a, b)
     n = a.shape[1]
-    if start is None:
-        # The vertex nearest b: argmin_k ||a_k||^2 - 2 a_k . b.
-        w = np.zeros(n)
-        w[int(np.argmin(np.einsum("ij,ij->j", a, a) - 2 * (a.T @ b)))] = 1.0
-    else:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (n,) or (start < 0).any() or start.sum() <= 0:
-            raise ValueError("start must be a nonnegative, nonzero vector of length n")
-        w = start / start.sum()
+    w = _simplex_start(a, b, start)
     if grad_tol is None:
         grad_tol = _default_grad_tol(a, b)
     w = _unit_sum(_active_set(a, b, np.ones((1, n)), w, grad_tol, _max_iter(n)))
@@ -254,7 +415,7 @@ def lead_first_lstsq(
     lead: np.ndarray,
     *,
     start: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+):
     """Lexicographic simplex least squares: the ``lead`` rows first.
 
     Stage 1 fits only the rows ``a[lead]`` over the simplex (``start`` seeds
@@ -262,11 +423,27 @@ def lead_first_lstsq(
     at the stage-1 point, ``a[lead] @ w == a[lead] @ w1``; the ones row and
     the lead rows are compressed to their rank first.  Returns
     ``(w, residual)`` with the residual over all rows.
+
+    ``b`` may also be a ``(B, m)`` stack of targets, with ``start`` then a
+    ``(B, n)`` stack or ``None``.  Each row is solved as it would be alone,
+    all of them in one stacked active set (see :func:`_stacked_active_set`),
+    and ``w`` is ``(B, n)`` and ``residual`` ``(B,)``.
     """
-    a, b = _as_problem(a, b)
-    w1, _ = simplex_lstsq(a[lead], b[lead], start=start)
+    if np.ndim(b) != 2:
+        a, b = _as_problem(a, b)
+        w1, _ = simplex_lstsq(a[lead], b[lead], start=start)
+    else:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.ndim != 2 or b.shape[1] != a.shape[0]:
+            raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
+        a1, b1 = a[lead], b[:, lead]
+        w1 = _simplex_start(a1, b1, start)
+        ones = np.ones((1, a.shape[1]))
+        tol1 = _default_grad_tol(a1, b1)
+        w1 = _unit_sum(_stacked_active_set(a1, b1, ones, w1, tol1, _max_iter(a.shape[1])))
     c = _row_basis(np.vstack([np.ones((1, a.shape[1])), a[lead]]))
-    w = _unit_sum(
-        _active_set(a, b, c, w1, _default_grad_tol(a, b), _max_iter(a.shape[1]))
-    )
-    return w, float(np.linalg.norm(a @ w - b))
+    solve = _active_set if b.ndim == 1 else _stacked_active_set
+    w = _unit_sum(solve(a, b, c, w1, _default_grad_tol(a, b), _max_iter(a.shape[1])))
+    if b.ndim == 1:
+        return w, float(np.linalg.norm(a @ w - b))
+    return w, np.linalg.norm(w @ a.T - b, axis=1)

@@ -531,18 +531,28 @@ def test_uniqueness_restarts_detect_degenerate_weights(atoms, depth):
 def test_uniqueness_restarts_skip_the_drop_walk(monkeypatch):
     # A restart on a random q-face of the simplex starts near stage 1's
     # optimal face; a dense start over all 50 atoms first drops about k - q
-    # of them one step at a time (about 51 steps per restart).
+    # of them one step at a time (about 51 steps per restart).  The restarts
+    # step as one stack, so each stacked step counts once per live problem.
     import finetti.solvers as solvers
 
     steps = []
-    real = solvers._passive_step
+    real = solvers._passive_steps
     monkeypatch.setattr(
-        solvers, "_passive_step", lambda *args: steps.append(1) or real(*args)
+        solvers, "_passive_steps", lambda *args: steps.append(len(args[0])) or real(*args)
     )
     cone = measure_prepare_cone(3)  # apex A(2): four probe states
     report = uniqueness_check(cone, default_atoms(2, 50, seed=3), trials=10)
     restarts = 4 * report.trials
-    assert 0 < len(steps) <= 25 * restarts
+    assert 0 < sum(steps) <= 25 * restarts
+
+
+@pytest.mark.parametrize("trials", [0, 1, -1])
+def test_uniqueness_check_refuses_fewer_than_two_trials(trials):
+    # One restart has no other to disagree with: a spread of 0 would read as
+    # "unique" on atoms of moment rank 20 < 50.
+    cone = measure_prepare_cone(3)
+    with pytest.raises(ValueError, match="trials must be at least 2"):
+        uniqueness_check(cone, default_atoms(2, 50, seed=3), trials=trials)
 
 
 def test_uniqueness_check_refuses_atoms_on_another_base():

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls as scipy_nnls
 
+from finetti import symmetric
+from finetti.definetti import default_atoms, moment_independent, probe_states
+from finetti.fixtures import QUBIT, measure_prepare_cone
 from finetti.solvers import (
     SolverDidNotConverge,
     lead_first_lstsq,
@@ -171,3 +174,87 @@ def test_nnls_raises_at_the_iteration_cap():
         nnls(a, b, max_iter=5)
     # With the default cap the same problem is solved to the optimum.
     assert np.linalg.norm(a @ nnls(a, b) - b) < 1e-10
+
+
+def _face_starts(rng, count, n, face):
+    starts = np.zeros((count, n))
+    for start in starts:
+        start[rng.choice(n, face, replace=False)] = rng.dirichlet(np.ones(face))
+    return starts
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["face-starts", "cold"])
+def test_stacked_lead_first_lstsq_matches_single_solves(cold):
+    # Moment-independent atoms: the stage-2 optimum is unique, so the stacked
+    # loop and the single loop must agree to round-off, supports included.
+    atoms = default_atoms(2, 12, seed=5)
+    assert moment_independent(atoms, 3)
+    a = atoms.design(3)
+    lead = slice(0, 4)
+    rng = np.random.default_rng(10)
+    mixtures = a @ rng.dirichlet(np.ones(12), size=8).T
+    b = np.repeat((mixtures + 0.05 * rng.standard_normal(mixtures.shape)).T, 3, axis=0)
+    starts = None if cold else _face_starts(rng, len(b), 12, 4)
+    w, res = lead_first_lstsq(a, b, lead, start=starts)
+    assert w.shape == (len(b), 12) and res.shape == (len(b),)
+    for i in range(len(b)):
+        w1, res1 = lead_first_lstsq(a, b[i], lead, start=None if cold else starts[i])
+        assert np.abs(w[i] - w1).max() <= 1e-12
+        assert abs(res[i] - res1) <= 1e-12
+        assert np.array_equal(w[i] > 0, w1 > 0)
+        assert w[i].sum() == 1.0
+
+
+def test_stack_of_one_runs_the_single_loop():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((14, 12))
+    b = a @ rng.dirichlet(np.ones(12)) + 0.1 * rng.standard_normal(14)
+    start = rng.dirichlet(np.ones(12))
+    w, res = lead_first_lstsq(a, b, np.arange(4), start=start)
+    ws, rs = lead_first_lstsq(a, b[None], np.arange(4), start=start[None])
+    assert np.array_equal(ws, w[None])
+    assert rs.shape == (1,) and rs[0] == pytest.approx(res, abs=1e-15)
+
+
+def test_stacked_solve_caps_each_problem():
+    # One problem starts at its optimum, the other at a vertex far from an
+    # interior optimum.  Under a cap of 3 steps the first finishes and the
+    # second raises, alone or stacked in either order.
+    from finetti.solvers import _active_set, _default_grad_tol, _stacked_active_set
+
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((20, 8))
+    b = np.stack([a[:, 0], a @ rng.uniform(0.5, 1.0, size=8) / 6])
+    x = np.zeros((2, 8))
+    x[:, 0] = 1.0
+    c = np.ones((1, 8))
+    tol = _default_grad_tol(a, b)
+    assert np.array_equal(_active_set(a, b[0], c, x[0], tol[0], 3), x[0])
+    with pytest.raises(SolverDidNotConverge):
+        _active_set(a, b[1], c, x[1], tol[1], 3)
+    for order in ([0, 1], [1, 0]):
+        with pytest.raises(SolverDidNotConverge, match="1 of the stacked problems"):
+            _stacked_active_set(a, b[order], c, x[order], tol[order], 3)
+    # Uncapped, both rows match their single solves.
+    both = _stacked_active_set(a, b, c, x, tol, 60)
+    for i in range(2):
+        assert np.abs(both[i] - _active_set(a, b[i], c, x[i], tol[i], 60)).max() <= 1e-12
+
+
+def test_stacked_restarts_on_degenerate_atoms_reach_the_single_optimum():
+    # Fifty atoms of moment rank 20: optimal weights need not be unique, and
+    # restarts set aside entrants that do not raise the passive rank.  Each
+    # stacked row still reaches the residual of its single solve.
+    atoms = default_atoms(2, 50, seed=3)
+    cone = measure_prepare_cone(3)
+    probes, _ = probe_states(cone.apex)
+    a = atoms.design(3)
+    targets = np.stack([symmetric.project(QUBIT, cone.sequence(p).levels)[0] for p in probes])
+    rng = np.random.default_rng(18)  # these starts set entrants aside
+    b = np.repeat(targets, 5, axis=0)
+    starts = _face_starts(rng, len(b), 50, 4)
+    w, res = lead_first_lstsq(a, b, slice(0, 4), start=starts)
+    for i in range(len(b)):
+        w1, res1 = lead_first_lstsq(a, b[i], slice(0, 4), start=starts[i])
+        assert abs(res[i] - res1) <= 1e-12
+        assert np.abs(a[:4] @ (w[i] - w1)).max() <= 1e-12
