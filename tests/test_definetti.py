@@ -438,6 +438,33 @@ def test_mediating_map_on_measure_prepare_cone():
     assert factorization_error(cone, med) < 1e-7
 
 
+def test_cone_fits_are_one_stacked_solve_each(monkeypatch):
+    # mediating_map fits all probes in one call of the solver, and
+    # uniqueness_check all probes x trials restarts in one more; each probe
+    # row matches reconstruct's own fit of that probe.
+    import finetti.definetti as definetti
+
+    calls = []
+    real = definetti.lead_first_lstsq
+    monkeypatch.setattr(
+        definetti,
+        "lead_first_lstsq",
+        lambda a, b, *args, **kw: calls.append(np.shape(b)) or real(a, b, *args, **kw),
+    )
+    cone = measure_prepare_cone(3)  # apex A(2): four probe states
+    atoms = default_atoms(2, 12, seed=5)
+    assert moment_independent(atoms, 3)
+    med = mediating_map(cone, atoms, max_residual=1.0)  # no exact fit here
+    report = uniqueness_check(cone, atoms, trials=3)
+    rows = 4 + 10 + 20
+    assert calls == [(4, rows), (12, rows)]
+    assert report.max_weight_spread <= 1e-12
+    for kappa, w, res in zip(med.probes, med.weights, med.residuals):
+        mix, alone = reconstruct(cone.sequence(kappa), atoms, check=False)
+        assert np.abs(mix.weights - w).max() <= 1e-12
+        assert abs(alone - res) <= 1e-12
+
+
 def test_mediating_map_weights_interpolate_linearly():
     cone = measure_prepare_cone(3)
     med = mediating_map(cone, circuit1_atoms())
