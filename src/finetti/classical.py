@@ -220,9 +220,8 @@ def hs_reconstruct(
             from .definetti import NotExchangeable
 
             raise NotExchangeable(report)
-    target, off = symmetric.project(
-        encode_space(seq.space), [mu.probs for mu in seq.measures]
-    )
+    tables = symmetric.Tables.build(encode_space(seq.space), seq.depth)
+    target, off = symmetric.project(tables, [mu.probs for mu in seq.measures])
     w, residual = lead_first_lstsq(
         _design(grid, seq.depth), target, slice(0, len(seq.space)), start=start
     )

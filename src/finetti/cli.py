@@ -4,9 +4,10 @@ Four commands: ``check`` (exchangeability report), ``reconstruct`` (mixture
 recovery), ``factor`` (cone factorization through an atom set), and ``demo``
 (canned end-to-end scenarios).
 
-Exit codes: 0 success, 1 invariant failure, 2 unreadable/invalid input,
-3 not representable over the given atoms (residual above ``--max-residual``),
-4 a solve reached its iteration cap before its optimality test passed.
+Exit codes: 0 success, 1 invariant failure, 2 unreadable/invalid input or
+an unwritable ``--output``, 3 not representable over the given atoms
+(residual above ``--max-residual``), 4 a solve reached its iteration cap
+before its optimality test passed.
 """
 
 from __future__ import annotations
@@ -43,18 +44,25 @@ EXIT_NOT_REPRESENTABLE = 3
 EXIT_SOLVER = 4
 
 
+class OutputError(Exception):
+    """The report could not be written to ``--output``."""
+
+
 def _emit(args, text_lines, doc) -> None:
-    if args.format == "json":
-        out = serialize.dump_document(doc, args.output)
-        if not args.output:
-            print(out)
-    else:
-        body = "\n".join(text_lines)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(body + "\n")
+    try:
+        if args.format == "json":
+            out = serialize.dump_document(doc, args.output)
+            if not args.output:
+                print(out)
         else:
-            print(body)
+            body = "\n".join(text_lines)
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(body + "\n")
+            else:
+                print(body)
+    except OSError as e:
+        raise OutputError(e) from e
 
 
 def _report_lines(report, kind: str) -> list[str]:
@@ -284,8 +292,12 @@ def _check_options(args) -> None:
             raise SchemaError(f"--{name} {value} must be at least {least}")
 
 
+# Built once: every in-process call of main parses with the same tree.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         _check_options(args)
         return args.func(args)
@@ -294,6 +306,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except SchemaError as e:
         print(f"invalid input: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except OutputError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as e:
         print(f"cannot read input: {e}", file=sys.stderr)

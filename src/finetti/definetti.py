@@ -2,7 +2,9 @@
 
 The pieces:
 
-* :class:`AtomSet` -- a finite dictionary of candidate level-1 states;
+* :class:`AtomSet` -- a finite dictionary of candidate level-1 states, with
+  its moment design and, per depth, the :class:`FitContext` every fit over
+  it reads;
 * :func:`synthesize` -- turn a weighted atom set into the exchangeable
   sequence ``rho_n = sum_k w_k sigma_k^(x n)``;
 * :func:`reconstruct` -- invert that: simplex-constrained least squares,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .exchange import (
     _pack,
     _unpack,
 )
-from .solvers import EPS, lead_first_lstsq, realify
+from .solvers import EPS, LeadFit, lead_first_lstsq, realify
 
 DISTINCT_TOL = 1e-6
 WEIGHT_TOL = 1e-9
@@ -103,6 +106,22 @@ def random_mixed_state(d: int, rng: np.random.Generator) -> StateVec:
     return StateVec(Algebra((d,)), [rho / np.trace(rho).real])
 
 
+class FitContext(NamedTuple):
+    """What every fit over an atom set at one depth reads, read-only (see
+    :meth:`AtomSet.context`): the slot map and orbit tables of levels
+    ``1..depth`` (``tables``) and the design prepared for the level-1-first
+    solve (``solve``), whose design is an atom-major view of the atom set's
+    store."""
+
+    tables: symmetric.Tables
+    solve: LeadFit
+
+    @property
+    def design(self) -> np.ndarray:
+        """The moment design, as :meth:`AtomSet.design` serves it."""
+        return self.solve.second.a
+
+
 @dataclass(frozen=True)
 class AtomSet:
     """Pairwise-distinct candidate states on a common base algebra.
@@ -110,8 +129,9 @@ class AtomSet:
     An atom set owns its moment design (see :meth:`design`): levels are built
     for all atoms at once when first asked for, kept, and served to every
     later call, so the design of a dictionary is built once however many
-    sequences are fitted over it.  The atoms are a tuple, the instance is
-    frozen and the stored arrays are read-only, so the store cannot go stale.
+    sequences are fitted over it.  So is what a fit reads besides the design
+    (:meth:`context`).  The atoms are a tuple, the instance is frozen and the
+    stored arrays are read-only, so the store cannot go stale.
     """
 
     base: Algebra
@@ -124,6 +144,7 @@ class AtomSet:
     _moments: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _depth: int = field(init=False, repr=False, compare=False, default=0)
     _ranks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _contexts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -197,6 +218,15 @@ class AtomSet:
             self._ranks[depth] = int(np.linalg.matrix_rank(self.design(depth)))
         return self._ranks[depth]
 
+    def context(self, depth: int) -> FitContext:
+        """The :class:`FitContext` of fits up to ``depth``, memoized."""
+        if depth not in self._contexts:
+            self._contexts[depth] = FitContext(
+                symmetric.Tables.build(self.base, depth),
+                LeadFit.build(self.design(depth), slice(0, self.base.dim)),
+            )
+        return self._contexts[depth]
+
 
 def explicit_atoms(states) -> AtomSet:
     states = list(states)
@@ -242,10 +272,9 @@ class Mixture:
 
 def synthesize(mix: Mixture, depth: int, tolerance: float = SYNTH_TOL) -> ExchSeq:
     """The exchangeable sequence of a mixture: ``rho_n = sum_k w_k sigma_k^(x n)``."""
-    base = mix.atomset.base
-    coords = (mix.atomset.design(depth) @ mix.weights)[None]
-    levels = symmetric.unproject(base, coords, depth)
-    return ExchSeq(base, tuple(level[0] for level in levels), tolerance)
+    ctx = mix.atomset.context(depth)
+    levels = symmetric.unproject(ctx.tables, (ctx.design @ mix.weights)[None])
+    return ExchSeq(mix.atomset.base, tuple(level[0] for level in levels), tolerance)
 
 
 # --- moment systems -----------------------------------------------------------
@@ -254,7 +283,8 @@ def moment_matrix(atoms: AtomSet, depth: int) -> np.ndarray:
     """Complex design matrix, read-only: column k stacks ``vec(sigma_k^(x n))``
     for n <= depth.  Expanded on demand from the atom set's symmetric design;
     no reconstruction needs it."""
-    levels = symmetric.unproject(atoms.base, atoms.design(depth).T, depth)
+    ctx = atoms.context(depth)
+    levels = symmetric.unproject(ctx.tables, ctx.design.T)
     out = np.concatenate([lv.reshape(len(atoms), -1) for lv in levels], axis=1).T
     out.setflags(write=False)
     return out
@@ -264,12 +294,6 @@ def sequence_vector(seq: ExchSeq, depth: int | None = None) -> np.ndarray:
     if depth is not None:
         seq = seq.truncate(depth)
     return np.concatenate([lv.ravel() for lv in seq.levels])
-
-
-def _projected(seq: ExchSeq) -> tuple[np.ndarray, float]:
-    """The sequence in the rows of :meth:`AtomSet.design`, and the norm of
-    its part that no mixture reaches (:func:`finetti.symmetric.project`)."""
-    return symmetric.project(seq.base, seq.levels)
 
 
 def moment_rank(atoms: AtomSet, depth: int) -> int:
@@ -321,10 +345,9 @@ def reconstruct(
         report = check_exchangeable(seq)
         if not report.ok:
             raise NotExchangeable(report)
-    target, off = _projected(seq)
-    w, residual = lead_first_lstsq(
-        atoms.design(seq.depth), target, slice(0, atoms.base.dim), start=start
-    )
+    ctx = atoms.context(seq.depth)
+    target, off = symmetric.project(ctx.tables, seq.levels)
+    w, residual = lead_first_lstsq(ctx.solve, target, start=start)
     return Mixture(atoms, w), float(np.hypot(residual, off))
 
 
@@ -501,11 +524,12 @@ def mediating_map(
     if cone.base != atoms.base:
         raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
     probes, basis = probe_states(cone.apex)
+    ctx = atoms.context(cone.depth)
     # Cone laws already certify exchangeability of the probe sequences.
-    targets, offs = zip(*(_projected(cone.sequence(kappa)) for kappa in probes))
-    weights, fits = lead_first_lstsq(
-        atoms.design(cone.depth), np.stack(targets), slice(0, atoms.base.dim)
+    targets, offs = zip(
+        *(symmetric.project(ctx.tables, cone.sequence(kappa).levels) for kappa in probes)
     )
+    weights, fits = lead_first_lstsq(ctx.solve, np.stack(targets))
     residuals = np.hypot(fits, offs)
     for idx, res in enumerate(residuals):
         if res > max_residual:
@@ -515,12 +539,14 @@ def mediating_map(
 
 def factorization_error(cone: Cone, med: MediatingMap) -> float:
     """Largest trace-norm gap ``||Phi_n(kappa) - sum_k w_k sigma_k^(x n)||``
-    over the probe states and all levels."""
+    over the probe states and all levels.  The mixture towers of all probes
+    come from one :func:`~finetti.symmetric.unproject` call."""
+    ctx = med.atomset.context(cone.depth)
+    synth = symmetric.unproject(ctx.tables, med.weights @ ctx.design.T)
     worst = 0.0
-    for kappa, w in zip(med.probes, med.weights):
-        synth = synthesize(Mixture(med.atomset, w), cone.depth)
-        for got, want in zip(cone.sequence(kappa).levels, synth.levels):
-            worst = max(worst, _distance(got, want))
+    for i, kappa in enumerate(med.probes):
+        for got, want in zip(cone.sequence(kappa).levels, synth):
+            worst = max(worst, _distance(got, want[i]))
     return worst
 
 
@@ -570,21 +596,20 @@ def uniqueness_check(
     rng = np.random.default_rng(seed)
     rank = moment_rank(atoms, cone.depth)
     probes, _ = probe_states(cone.apex)
-    design = atoms.design(cone.depth)
-    q = atoms.base.dim
+    ctx = atoms.context(cone.depth)
     k = len(atoms)
-    face = min(q, k)
-    targets = np.stack([_projected(cone.sequence(kappa))[0] for kappa in probes])
+    face = min(atoms.base.dim, k)
+    targets = np.stack(
+        [symmetric.project(ctx.tables, cone.sequence(kappa).levels)[0] for kappa in probes]
+    )
     starts = np.zeros((len(probes) * trials, k))
     for start in starts:
         start[rng.choice(k, face, replace=False)] = rng.dirichlet(np.ones(face))
-    sols, _ = lead_first_lstsq(
-        design, np.repeat(targets, trials, axis=0), slice(0, q), start=starts
-    )
+    sols, _ = lead_first_lstsq(ctx.solve, np.repeat(targets, trials, axis=0), start=starts)
     sols = sols.reshape(len(probes), trials, k)
     i, j = np.triu_indices(trials, 1)
     gaps = (sols[:, i] - sols[:, j]).reshape(-1, k)
-    levels = symmetric.unproject(atoms.base, gaps @ design.T, cone.depth)
+    levels = symmetric.unproject(ctx.tables, gaps @ ctx.design.T)
     weight_spread = float(np.abs(gaps).max())
     moment_spread = max(float(np.abs(lv).max()) for lv in levels)
     return UniquenessReport(

@@ -5,7 +5,12 @@ Problems*, 1974, ch. 20-23; Nocedal & Wright, *Numerical Optimization*,
 Alg. 16.3) solves ``min ||A w - b||_2`` subject to ``w >= 0`` and ``C w = d``
 from a feasible start.  Each step solves the equality-constrained problem on
 the passive set exactly, by a null-space basis of the passive columns of
-``C``; no penalty row enters the data.
+``C``; no penalty row enters the data.  The SVD of those columns that gives
+the basis also gives, by its pseudo-inverse, the equality multipliers of the
+optimality test, so a step costs two SVDs.  What depends on the design alone
+is computed once for every solve over it (as Bro & De Jong, "A fast
+non-negativity-constrained least squares algorithm", J. Chemometrics 11,
+1997, precompute the cross-products of theirs).
 
 * :func:`nnls` is the case without equality rows.
 * :func:`simplex_lstsq` carries the ones row ``sum w = 1``.
@@ -14,6 +19,9 @@ the passive set exactly, by a null-space basis of the passive columns of
   first, then fit every row while holding the lead rows' image at that first
   optimum.  It is exact on the lead rows when their target lies in the hull
   of the columns, and their projection onto that hull when it does not.
+  Its design-only part (the atom-major copy or view of the design, the
+  stage-2 equality rows, the truncation tolerances) is a :class:`LeadFit`,
+  which a caller fitting many targets over one design builds once.
 
 :func:`lead_first_lstsq` also takes a stack of B targets ``b`` (and starts)
 over the shared ``A`` and ``C``, as the restarts and probe fits of a cone
@@ -33,6 +41,8 @@ still live after that many steps raises.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +81,62 @@ def _max_iter(n: int) -> int:
     return max(6 * n, 60)
 
 
+def _atom_major(a: np.ndarray) -> np.ndarray:
+    """``a.T``, read-only, with each row (a column of ``a``) contiguous: a
+    view when the columns of ``a`` already are, else a copy."""
+    at = a.T if a.strides[0] == a.itemsize else np.ascontiguousarray(a.T)
+    at = at.view()  # the caller's array keeps its own flags
+    at.setflags(write=False)
+    return at
+
+
+class Design(NamedTuple):
+    """What the active set reads of a design ``a`` (``m x n``) and its
+    equality rows ``c`` (``e x n``), built once for every solve over them.
+
+    ``at`` and ``ct`` hold ``a.T`` and ``c.T``, read-only, so a passive set
+    gathers whole contiguous rows; ``tol`` is the singular value below which
+    a direction of a passive system is round-off.
+    """
+
+    at: np.ndarray
+    ct: np.ndarray
+    tol: float
+
+    @classmethod
+    def build(cls, at: np.ndarray, ct: np.ndarray) -> "Design":
+        """From the atom-major ``at`` (see :func:`_atom_major`) and ``c.T``."""
+        ct = np.ascontiguousarray(ct, dtype=float)
+        ct.setflags(write=False)
+        norm = float(np.sqrt(np.einsum("ij,ij->i", at, at).max()))
+        return cls(at, ct, EPS * max(at.shape) * norm)
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.at.T
+
+
+class LeadFit(NamedTuple):
+    """A design prepared for :func:`lead_first_lstsq`: stage 1 over the
+    ``lead`` rows and the ones row, stage 2 over all rows and the row basis
+    of the ones and lead rows (:meth:`build`)."""
+
+    lead: slice | np.ndarray
+    first: Design
+    second: Design
+
+    @classmethod
+    def build(cls, a: np.ndarray, lead) -> "LeadFit":
+        """Prepare the design ``a`` with its ``lead`` rows."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2:
+            raise ValueError(f"design must be a matrix, got shape {a.shape}")
+        at = _atom_major(a)
+        ones = np.ones((a.shape[1], 1))
+        basis = _row_basis(np.vstack([ones.T, a[lead]]))
+        return cls(lead, Design.build(at[:, lead], ones), Design.build(at, basis.T))
+
+
 def _row_basis(c: np.ndarray) -> np.ndarray:
     """Rows spanning the row space of ``c``, as many as its rank."""
     _, s, vt = np.linalg.svd(c, full_matrices=False)
@@ -90,34 +156,38 @@ def _lstsq(m: np.ndarray, r: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
 
 def _passive_step(
     ap: np.ndarray, r: np.ndarray, cp: np.ndarray, tol: float
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Least-squares step ``p`` for ``min ||ap p - r||`` with ``cp p = 0``,
     solved on an orthonormal basis of the null space of ``cp``.  Directions
     in which ``ap`` is below ``tol`` are round-off and do not move.
 
-    Also returns the rank of the passive system: that of ``cp`` plus that of
-    ``ap`` on the null space of ``cp``.
+    Also returns the rank of the passive system, that of ``cp`` plus that of
+    ``ap`` on the null space of ``cp``, and the pseudo-inverse of ``cp.T``
+    at the cut-off :func:`numpy.linalg.lstsq` uses, from the same SVD: it
+    fits the equality multipliers to a reduced gradient on the passive set
+    (``None`` without equality rows).
     """
     if not cp.shape[0]:
-        return _lstsq(ap, r, tol)
-    _, s, vt = np.linalg.svd(cp)
-    rank = int(np.count_nonzero(s > s[0] * max(cp.shape) * EPS)) if s.size else 0
+        return (*_lstsq(ap, r, tol), None)
+    u, s, vt = np.linalg.svd(cp)
+    rank = int(np.count_nonzero(s > s[0] * max(cp.shape) * EPS))
+    pinv = (u[:, :rank] / s[:rank]) @ vt[:rank]
     null = vt[rank:].T
     if not null.shape[1]:
-        return np.zeros(ap.shape[1]), rank
+        return np.zeros(ap.shape[1]), rank, pinv
     y, rank_null = _lstsq(ap @ null, r, tol)
-    return null @ y, rank + rank_null
+    return null @ y, rank + rank_null, pinv
 
 
 def _active_set(
-    a: np.ndarray,
+    design: Design,
     b: np.ndarray,
-    c: np.ndarray,
     x: np.ndarray,
     grad_tol: float,
     max_iter: int,
 ) -> np.ndarray:
-    """``min ||a x - b||`` over ``x >= 0``, ``c x = c x0``, from the feasible ``x0``.
+    """``min ||a x - b||`` over ``x >= 0``, ``c x = c x0``, from the feasible
+    ``x0``, for the ``a`` and ``c`` of ``design``.
 
     The passive set starts as the support of ``x``.  A step blocked by a
     bound drops only the one blocking variable, which keeps degenerate
@@ -125,33 +195,30 @@ def _active_set(
     must raise the rank of the passive system and must not step below its
     bound.  One that fails either test was let in by round-off, and is set
     aside until the point moves (the safeguards of Lawson & Hanson's NNLS).
+    A step takes two SVDs, both in :func:`_passive_step`, whose
+    pseudo-inverse of the passive constraint block also gives the equality
+    multipliers of the optimality test.
     """
-    n = a.shape[1]
-    if a.strides[0] != a.itemsize:
-        # Passive columns are gathered every step: make each one contiguous.
-        # A prefix view of a deeper moment store already has contiguous
-        # columns, though it is not Fortran-ordered, and is used as it is.
-        a = np.asfortranarray(a)
-    # Singular values of a passive system below this are round-off.
-    tol = EPS * max(a.shape) * float(np.sqrt(np.einsum("ij,ij->j", a, a).max()))
+    at, ct = design.at, design.ct
+    n = at.shape[0]
     x = x.copy()
     passive = x > 0
     set_aside = np.zeros(n, dtype=bool)
     entering, rank = -1, 0
     for _ in range(max_iter):
         idx = np.flatnonzero(passive)
-        ap = a[:, idx]
+        apt = at[idx]
         z, new_rank = x.copy(), 0
         if idx.size:
-            step, new_rank = _passive_step(ap, b - ap @ x[idx], c[:, idx], tol)
+            step, new_rank, pinv = _passive_step(apt.T, b - x[idx] @ apt, ct[idx].T, design.tol)
             z[idx] += step
         # Round-off zeros of the passive solve count as feasible.
         zero_tol = EPS * max(idx.size, 1) * max(1.0, float(np.abs(z).max()))
         if entering >= 0 and (new_rank <= rank or z[entering] < -zero_tol):
+            # The point stays put, so the reduced gradient of the last test
+            # still holds; the entrant is masked below.
             set_aside[entering] = True
             passive[entering] = False
-            idx = np.flatnonzero(passive)
-            ap = a[:, idx]
         else:
             rank = new_rank
             blocked = passive & (z < -zero_tol)
@@ -166,12 +233,12 @@ def _active_set(
                 entering = -1
                 continue
             x = np.where(passive, np.maximum(z, 0.0), 0.0)
-        # Karush-Kuhn-Tucker test: the reduced gradient, with the equality
-        # multipliers fitted on the passive set, is nonnegative off it.
-        grad = a.T @ (ap @ x[idx] - b)
-        if c.shape[0] and idx.size:
-            lam = np.linalg.lstsq(c[:, idx].T, -grad[idx], rcond=None)[0]
-            grad = grad + c.T @ lam
+            # Karush-Kuhn-Tucker test: the reduced gradient, with the
+            # equality multipliers fitted on the passive set, is nonnegative
+            # off it.
+            grad = at @ (x[idx] @ apt - b)
+            if ct.shape[1] and idx.size:
+                grad -= ct @ (pinv @ grad[idx])
         grad[passive | set_aside] = np.inf
         entering = int(np.argmin(grad))
         if grad[entering] >= -grad_tol:
@@ -210,15 +277,14 @@ def _passive_steps(
 
 
 def _stacked_active_set(
-    a: np.ndarray,
+    design: Design,
     b: np.ndarray,
-    c: np.ndarray,
     x: np.ndarray,
     grad_tol: np.ndarray,
     max_iter: int,
 ) -> np.ndarray:
     """:func:`_active_set` for the rows of ``b`` and ``x``, each a problem
-    with its own ``grad_tol``, over the shared ``a`` and ``c`` (at least one
+    with its own ``grad_tol``, over the shared ``design`` (at least one
     equality row, as in the simplex solves).
 
     The live problems step in lockstep, each taking the step it takes alone
@@ -228,13 +294,12 @@ def _stacked_active_set(
     :func:`_active_set`, which costs less for one problem.
     """
     if len(b) == 1:
-        return _active_set(a, b[0], c, x[0], grad_tol[0], max_iter)[None]
+        return _active_set(design, b[0], x[0], grad_tol[0], max_iter)[None]
     if not len(b):
         return x.copy()
-    m = a.shape[0]
     # Row j holds column j: gathering passive columns copies contiguous rows.
-    at, ct = np.ascontiguousarray(a.T), np.ascontiguousarray(c.T)
-    tol = EPS * max(a.shape) * float(np.sqrt(np.einsum("ij,ij->j", a, a).max()))
+    at, ct = design.at, design.ct
+    m, e = at.shape[1], ct.shape[1]
     out = np.empty_like(x)
     live = np.arange(len(b))
     x = x.copy()
@@ -255,11 +320,11 @@ def _stacked_active_set(
         if slot.shape[1]:
             apt = np.zeros(slot.shape + (m,))
             apt[slot] = at[cols]
-            cpt = np.zeros(slot.shape + (c.shape[0],))
+            cpt = np.zeros(slot.shape + (e,))
             cpt[slot] = ct[cols]
             r = b - np.einsum("bpm,bp->bm", apt, xp)
             step, new_rank, pinv = _passive_steps(
-                apt.transpose(0, 2, 1), r, cpt.transpose(0, 2, 1), size, tol
+                apt.transpose(0, 2, 1), r, cpt.transpose(0, 2, 1), size, design.tol
             )
             z[passive] = (xp + step)[slot]
         zero_tol = EPS * np.maximum(size, 1) * np.maximum(1.0, np.abs(z).max(axis=1))
@@ -291,11 +356,11 @@ def _stacked_active_set(
         cl = np.flatnonzero(clean)
         if cl.size:
             x[cl] = np.where(passive[cl], np.maximum(z[cl], 0.0), 0.0)
-            g = (x[cl] @ a.T - b[cl]) @ a
+            g = (x[cl] @ at - b[cl]) @ at.T
             if slot.shape[1]:
                 gp = np.zeros((cl.size, slot.shape[1]))
                 gp[slot[cl]] = g[passive[cl]]
-                g += np.einsum("bep,bp->be", pinv[cl], -gp) @ c
+                g -= np.einsum("bep,bp->be", pinv[cl], gp) @ ct.T
             grad[cl] = g
         # Karush-Kuhn-Tucker test, as in _active_set.
         masked = np.where(passive | set_aside, np.inf, grad)
@@ -348,7 +413,8 @@ def nnls(
         grad_tol = _default_grad_tol(a, b)
     if max_iter is None:
         max_iter = _max_iter(n)
-    return _active_set(a, b, np.zeros((0, n)), x, grad_tol, max_iter)
+    design = Design.build(_atom_major(a), np.zeros((n, 0)))
+    return _active_set(design, b, x, grad_tol, max_iter)
 
 
 def _unit_sum(w: np.ndarray) -> np.ndarray:
@@ -405,14 +471,15 @@ def simplex_lstsq(
     w = _simplex_start(a, b, start)
     if grad_tol is None:
         grad_tol = _default_grad_tol(a, b)
-    w = _unit_sum(_active_set(a, b, np.ones((1, n)), w, grad_tol, _max_iter(n)))
+    design = Design.build(_atom_major(a), np.ones((n, 1)))
+    w = _unit_sum(_active_set(design, b, w, grad_tol, _max_iter(n)))
     return w, float(np.linalg.norm(a @ w - b))
 
 
 def lead_first_lstsq(
-    a: np.ndarray,
+    a: np.ndarray | LeadFit,
     b: np.ndarray,
-    lead: np.ndarray,
+    lead=None,
     *,
     start: np.ndarray | None = None,
 ):
@@ -424,26 +491,30 @@ def lead_first_lstsq(
     the lead rows are compressed to their rank first.  Returns
     ``(w, residual)`` with the residual over all rows.
 
+    ``a`` is the design, or a :class:`LeadFit` of it that carries its own
+    ``lead``: a caller that fits many targets over one design builds that
+    once.  Given the bare design, the fit is built on the spot.
+
     ``b`` may also be a ``(B, m)`` stack of targets, with ``start`` then a
     ``(B, n)`` stack or ``None``.  Each row is solved as it would be alone,
     all of them in one stacked active set (see :func:`_stacked_active_set`),
     and ``w`` is ``(B, n)`` and ``residual`` ``(B,)``.
     """
-    if np.ndim(b) != 2:
-        a, b = _as_problem(a, b)
-        w1, _ = simplex_lstsq(a[lead], b[lead], start=start)
-    else:
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if a.ndim != 2 or b.shape[1] != a.shape[0]:
-            raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
-        a1, b1 = a[lead], b[:, lead]
-        w1 = _simplex_start(a1, b1, start)
-        ones = np.ones((1, a.shape[1]))
-        tol1 = _default_grad_tol(a1, b1)
-        w1 = _unit_sum(_stacked_active_set(a1, b1, ones, w1, tol1, _max_iter(a.shape[1])))
-    c = _row_basis(np.vstack([np.ones((1, a.shape[1])), a[lead]]))
-    solve = _active_set if b.ndim == 1 else _stacked_active_set
-    w = _unit_sum(solve(a, b, c, w1, _default_grad_tol(a, b), _max_iter(a.shape[1])))
+    fit = a if isinstance(a, LeadFit) else LeadFit.build(a, lead)
+    n, m = fit.second.at.shape
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[-1] != m:
+        raise ValueError(f"shape mismatch: a {(m, n)}, b {b.shape}")
+    b1 = b[..., fit.lead]
     if b.ndim == 1:
-        return w, float(np.linalg.norm(a @ w - b))
-    return w, np.linalg.norm(w @ a.T - b, axis=1)
+        w, _ = simplex_lstsq(fit.first.a, b1, start=start)
+        solve = _active_set
+    else:
+        w = _simplex_start(fit.first.a, b1, start)
+        tol1 = _default_grad_tol(fit.first.a, b1)
+        w = _unit_sum(_stacked_active_set(fit.first, b1, w, tol1, _max_iter(n)))
+        solve = _stacked_active_set
+    tol = _default_grad_tol(fit.second.a, b)
+    w = _unit_sum(solve(fit.second, b, w, tol, _max_iter(n)))
+    residual = np.linalg.norm(w @ fit.second.at - b, axis=-1)
+    return w, (float(residual) if b.ndim == 1 else residual)

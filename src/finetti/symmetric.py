@@ -22,9 +22,15 @@ Diaconis & Freedman, "Finite exchangeable sequences", 1980).  In them
 * ``||rho_n - sum_k w_k sigma_k^(x n)||_F^2`` is the squared distance in
   these coordinates plus ``||C - orbit means of C||^2``, the part of
   ``rho_n`` off the symmetric subspace, which no mixture can reach.
+
+:func:`project` and :func:`unproject` read the slot map and orbit tables of
+a base from a :class:`Tables`, built once per base and depth by whoever fits
+many towers over them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +69,24 @@ def orbits(q: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return orbit, np.bincount(orbit), members
 
 
+class Tables(NamedTuple):
+    """The slot map of ``base`` (:func:`slot_map`) and the orbit tables
+    ``(orbit, sizes)`` of levels ``1..depth`` (:func:`orbits`), read-only."""
+
+    base: Algebra
+    slots: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def build(cls, base: Algebra, depth: int) -> "Tables":
+        """The tables of ``base`` up to ``depth``."""
+        levels = tuple(orbits(base.dim, n)[:2] for n in range(1, depth + 1))
+        slots = slot_map(base)
+        for arr in (slots, *(a for level in levels for a in level)):
+            arr.setflags(write=False)
+        return cls(base, slots, levels)
+
+
 def iid_level(coords: np.ndarray, n: int) -> np.ndarray:
     """Symmetric coordinates of level n of the iid tower of each row of
     ``coords`` (a ``(k, q)`` array of coefficients): ``(k, C(n+q-1, n))``."""
@@ -86,46 +110,46 @@ def _interleave(n: int) -> list[int]:
     return [a for slot in range(n) for a in (slot, n + slot)]
 
 
-def project(base: Algebra, levels) -> tuple[np.ndarray, float]:
-    """Symmetric coordinates of packed levels ``1..N``, level by level, and
-    the Frobenius norm of the levels' part off the symmetric subspace: the
-    distance of each coefficient tensor from its orbit means of the real
-    part, which also carries any anti-Hermitian part."""
-    u = slot_map(base)
+def project(tables: Tables, levels) -> tuple[np.ndarray, float]:
+    """Symmetric coordinates of packed levels ``1..N``, N the depth of
+    ``tables``, level by level, and the Frobenius norm of the levels' part
+    off the symmetric subspace: the distance of each coefficient tensor from
+    its orbit means of the real part, which also carries any anti-Hermitian
+    part."""
+    u = tables.slots
     q = len(u)
-    quantum = _base_kind(base) == "quantum"
+    quantum = _base_kind(tables.base) == "quantum"
     parts, off = [], 0.0
-    for n, arr in enumerate(levels, start=1):
+    for (n, arr), (orbit, sizes) in zip(enumerate(levels, 1), tables.levels, strict=True):
         if quantum:
-            d = base.blocks[0]
+            d = tables.base.blocks[0]
             arr = arr.reshape((d,) * (2 * n)).transpose(_interleave(n))
         c = arr.reshape(q, -1)
         for _ in range(n):  # each step maps the leading slot, moved to the end
             c = (c.T @ u.T).reshape(q, -1)
         c = c.ravel()
-        orbit, sizes, _ = orbits(q, n)
         sums = np.bincount(orbit, weights=c.real)
         parts.append(sums / np.sqrt(sizes))
         off = np.hypot(off, np.linalg.norm(c - (sums / sizes)[orbit]))
     return np.concatenate(parts), float(off)
 
 
-def unproject(base: Algebra, coords: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Packed levels ``1..depth`` with the symmetric coordinates ``coords``:
-    for a ``(k, rows)`` array, one ``(k, ...)`` stack per level."""
-    u = slot_map(base).conj()
+def unproject(tables: Tables, coords: np.ndarray) -> list[np.ndarray]:
+    """Packed levels ``1..N``, N the depth of ``tables``, with the symmetric
+    coordinates ``coords``: for a ``(k, rows)`` array, one ``(k, ...)``
+    stack per level."""
+    u = tables.slots.conj()
     q, k, at = len(u), len(coords), 0
-    quantum = _base_kind(base) == "quantum"
+    quantum = _base_kind(tables.base) == "quantum"
     out = []
-    for n in range(1, depth + 1):
-        orbit, sizes, _ = orbits(q, n)
+    for n, (orbit, sizes) in enumerate(tables.levels, start=1):
         y = coords[:, at : at + len(sizes)] / np.sqrt(sizes)
         at += len(sizes)
         t = y[:, orbit]
         for _ in range(n):  # each step maps the leading slot, moved to the end
             t = t.reshape(k, q, q ** (n - 1)).transpose(0, 2, 1) @ u
         if quantum:
-            d = base.blocks[0]
+            d = tables.base.blocks[0]
             back = np.argsort(_interleave(n)) + 1
             t = t.reshape((k,) + (d,) * (2 * n)).transpose([0, *back])
             out.append(t.reshape(k, d**n, d**n))

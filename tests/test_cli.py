@@ -182,6 +182,25 @@ def test_parse_error_on_missing_file(capsys):
     assert main(["check", "--input", "/nonexistent/nope.json"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unwritable_output_exits_2(capsys, tmp_path, seq_file, fmt):
+    # The input reads fine: the error names the output it could not write.
+    out = tmp_path / "missing" / "out.txt"
+    argv = ["check", "--input", seq_file, "--format", fmt, "--output", str(out)]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert str(out) in err
+
+
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch, seq_file):
+    import finetti.cli as cli
+
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["check", "--input", seq_file]) == EXIT_OK
+    assert main(["check", "--input", seq_file, "--depth", "2"]) == EXIT_OK
+
+
 def test_reconstruct_with_default_atoms(capsys, seq_file):
     # Random dictionaries approximate but rarely contain the generating
     # atoms, so only the structure of the answer is pinned here.

@@ -854,6 +854,72 @@ def test_mediating_map_builds_the_design_once_for_all_probes(monkeypatch):
     assert builds == [(4,), (10,), (20,)]
 
 
+def test_second_fit_over_an_atom_set_rebuilds_no_tables(monkeypatch):
+    # The slot map, orbit tables and stage-2 equality rows are built with the
+    # atom set's fit context, once: later fits at that depth only read them.
+    import finetti.solvers as solvers
+    import finetti.symmetric as symmetric
+
+    cone = measure_prepare_cone(3)
+    atoms = circuit1_atoms()
+    seq = circuit1_sequence(3)
+    reconstruct(seq, atoms)
+    mediating_map(cone, atoms)
+    calls = []
+    for module, name in [(symmetric, "orbits"), (symmetric, "slot_map"), (solvers, "_row_basis")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    reconstruct(seq, atoms)
+    med = mediating_map(cone, atoms)
+    uniqueness_check(cone, atoms, trials=3)
+    factorization_error(cone, med)
+    synthesize(med.mixture_for(med.probes[0]), 3)
+    moment_matrix(atoms, 3)
+    assert calls == []
+    reconstruct(seq, circuit1_atoms())  # a new atom set builds its own
+    assert {"orbits", "slot_map", "_row_basis"} <= set(calls)
+
+
+def test_fit_context_is_read_only_and_views_the_store():
+    atoms = default_atoms(2, 12, seed=5)
+    atoms.design(4)
+    ctx = atoms.context(3)
+    assert atoms.context(3) is ctx
+    solve = ctx.solve
+    arrays = [ctx.tables.slots, *(a for level in ctx.tables.levels for a in level)]
+    arrays += [solve.first.at, solve.first.ct, solve.second.at, solve.second.ct]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    # The solver gathers passive columns as rows of the store itself.
+    assert np.shares_memory(solve.second.at, atoms._moments)
+    assert np.array_equal(ctx.design, atoms.design(3))
+    with pytest.raises(AttributeError):
+        atoms._contexts = {}
+
+
+def test_factorization_error_matches_per_probe_synthesis():
+    # One unproject call for all probes gives the per-probe synthesize route.
+    from finetti.exchange import _distance
+
+    cases = [
+        (measure_prepare_cone(3), default_atoms(2, 12, seed=5), 1.0),  # inexact fit
+        (measure_prepare_cone(3), circuit1_atoms(), 1e-6),  # exact fit
+        (constant_cone(qubit_state(np.diag([0.3, 0.7])), 4), equator_atoms(), 1.0),
+    ]
+    for cone, atoms, bound in cases:
+        med = mediating_map(cone, atoms, max_residual=bound)
+        worst = 0.0
+        for kappa, w in zip(med.probes, med.weights):
+            synth = synthesize(Mixture(atoms, w), cone.depth)
+            for got, want in zip(cone.sequence(kappa).levels, synth.levels):
+                worst = max(worst, _distance(got, want))
+        assert abs(factorization_error(cone, med) - worst) <= 1e-14
+
+
 # --- the distinctness screen ---------------------------------------------------
 
 

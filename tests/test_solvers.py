@@ -220,25 +220,31 @@ def test_stacked_solve_caps_each_problem():
     # One problem starts at its optimum, the other at a vertex far from an
     # interior optimum.  Under a cap of 3 steps the first finishes and the
     # second raises, alone or stacked in either order.
-    from finetti.solvers import _active_set, _default_grad_tol, _stacked_active_set
+    from finetti.solvers import (
+        Design,
+        _active_set,
+        _atom_major,
+        _default_grad_tol,
+        _stacked_active_set,
+    )
 
     rng = np.random.default_rng(12)
     a = rng.standard_normal((20, 8))
     b = np.stack([a[:, 0], a @ rng.uniform(0.5, 1.0, size=8) / 6])
     x = np.zeros((2, 8))
     x[:, 0] = 1.0
-    c = np.ones((1, 8))
+    design = Design.build(_atom_major(a), np.ones((8, 1)))
     tol = _default_grad_tol(a, b)
-    assert np.array_equal(_active_set(a, b[0], c, x[0], tol[0], 3), x[0])
+    assert np.array_equal(_active_set(design, b[0], x[0], tol[0], 3), x[0])
     with pytest.raises(SolverDidNotConverge):
-        _active_set(a, b[1], c, x[1], tol[1], 3)
+        _active_set(design, b[1], x[1], tol[1], 3)
     for order in ([0, 1], [1, 0]):
         with pytest.raises(SolverDidNotConverge, match="1 of the stacked problems"):
-            _stacked_active_set(a, b[order], c, x[order], tol[order], 3)
+            _stacked_active_set(design, b[order], x[order], tol[order], 3)
     # Uncapped, both rows match their single solves.
-    both = _stacked_active_set(a, b, c, x, tol, 60)
+    both = _stacked_active_set(design, b, x, tol, 60)
     for i in range(2):
-        assert np.abs(both[i] - _active_set(a, b[i], c, x[i], tol[i], 60)).max() <= 1e-12
+        assert np.abs(both[i] - _active_set(design, b[i], x[i], tol[i], 60)).max() <= 1e-12
 
 
 def test_stacked_restarts_on_degenerate_atoms_reach_the_single_optimum():
@@ -249,7 +255,8 @@ def test_stacked_restarts_on_degenerate_atoms_reach_the_single_optimum():
     cone = measure_prepare_cone(3)
     probes, _ = probe_states(cone.apex)
     a = atoms.design(3)
-    targets = np.stack([symmetric.project(QUBIT, cone.sequence(p).levels)[0] for p in probes])
+    tables = symmetric.Tables.build(QUBIT, 3)
+    targets = np.stack([symmetric.project(tables, cone.sequence(p).levels)[0] for p in probes])
     rng = np.random.default_rng(18)  # these starts set entrants aside
     b = np.repeat(targets, 5, axis=0)
     starts = _face_starts(rng, len(b), 50, 4)
@@ -258,3 +265,65 @@ def test_stacked_restarts_on_degenerate_atoms_reach_the_single_optimum():
         w1, res1 = lead_first_lstsq(a, b[i], slice(0, 4), start=starts[i])
         assert abs(res[i] - res1) <= 1e-12
         assert np.abs(a[:4] @ (w[i] - w1)).max() <= 1e-12
+
+
+def test_active_set_steps_take_two_svds_and_no_lstsq(monkeypatch):
+    # Each passive step factors the constraint block and the passive system
+    # once each; the equality multipliers come from the first factorization.
+    import finetti.solvers as solvers
+
+    atoms = default_atoms(2, 50, seed=3)
+    fit = atoms.context(3).solve
+    rng = np.random.default_rng(19)
+    a = atoms.design(3)
+    b = a @ rng.dirichlet(np.ones(50)) + 0.02 * rng.standard_normal(a.shape[0])
+    svds, steps = [], []
+    real_svd, real_step = np.linalg.svd, solvers._passive_step
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *args, **kw: svds.append(1) or real_svd(*args, **kw)
+    )
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: pytest.fail("lstsq called"))
+    monkeypatch.setattr(solvers, "_passive_step", lambda *args: steps.append(1) or real_step(*args))
+    lead_first_lstsq(fit, b)
+    assert len(steps) >= 10
+    assert len(svds) <= 2 * len(steps)
+
+
+def _passive_system(rng, deficient):
+    e, p, m = (int(v) for v in rng.integers((1, 1, 5), (6, 12, 30)))
+    cp = rng.standard_normal((e, p))
+    if deficient:  # one row a combination of the others, or a zero row
+        cp[-1] = rng.standard_normal(e - 1) @ cp[:-1] if e > 1 else 0.0
+    return rng.standard_normal((m, p)), rng.standard_normal(m), cp, rng.standard_normal(p)
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full-rank", "rank-deficient"])
+def test_passive_multipliers_match_lstsq(deficient):
+    # The pseudo-inverse from the constraint SVD fits the multipliers as
+    # numpy's lstsq does, at its cut-off, single and stacked.
+    from finetti.solvers import _passive_step, _passive_steps
+
+    rng = np.random.default_rng(20)
+    systems = [_passive_system(rng, deficient) for _ in range(40)]
+    for ap, r, cp, g in systems:
+        ref = np.linalg.lstsq(cp.T, g, rcond=None)[0]
+        _, _, pinv = _passive_step(ap, r, cp, 1e-12)
+        assert np.abs(pinv @ g - ref).max() <= 1e-12
+    # The stacked form pads every problem to one width with zero columns.
+    for e in range(1, 6):
+        group = [s for s in systems if s[2].shape[0] == e]
+        if not group:
+            continue
+        m = min(s[0].shape[0] for s in group)
+        width = max(s[2].shape[1] for s in group)
+        size = np.array([s[2].shape[1] for s in group])
+        ap = np.zeros((len(group), m, width))
+        cp = np.zeros((len(group), e, width))
+        for i, (a_i, _, c_i, _) in enumerate(group):
+            ap[i, :, : size[i]] = a_i[:m]
+            cp[i, :, : size[i]] = c_i
+        r = np.stack([s[1][:m] for s in group])
+        _, _, pinv = _passive_steps(ap, r, cp, size, 1e-12)
+        for i, (_, _, c_i, g) in enumerate(group):
+            ref = np.linalg.lstsq(c_i.T, g, rcond=None)[0]
+            assert np.abs(pinv[i, :, : size[i]] @ g - ref).max() <= 1e-12
