@@ -68,10 +68,10 @@ def _emit(args, text_lines, doc) -> None:
 def _report_lines(report, kind: str) -> list[str]:
     lines = [f"kind: {kind}", f"tolerance: {report.tolerance:g}"]
     for lv in report.levels:
-        line = f"level {lv.level}: symmetry {lv.symmetry:.3e} (bound {lv.symmetry_bound:.3e}"
-        if lv.worst_permutation is not None:
-            line += f", worst swap {lv.worst_permutation}"
-        line += f"), consistency {lv.consistency:.3e}"
+        line = (
+            f"level {lv.level}: symmetry {lv.symmetry:.3e} (bound {lv.symmetry_bound:.3e}), "
+            f"consistency {lv.consistency:.3e}"
+        )
         if lv.worst_source is not None:
             line += f" (vs level {lv.worst_source})"
         lines.append(line)

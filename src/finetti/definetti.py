@@ -210,6 +210,9 @@ class AtomSet:
             moments.setflags(write=False)
             object.__setattr__(self, "_moments", moments)
             object.__setattr__(self, "_depth", depth)
+            # A memoized context views the store it was built on: drop them,
+            # so that the old store is freed.
+            self._contexts.clear()
         return self._moments[:, : self._rows(depth)].T
 
     def rank(self, depth: int) -> int:
@@ -219,7 +222,8 @@ class AtomSet:
         return self._ranks[depth]
 
     def context(self, depth: int) -> FitContext:
-        """The :class:`FitContext` of fits up to ``depth``, memoized."""
+        """The :class:`FitContext` of fits up to ``depth``, memoized until a
+        deeper :meth:`design` replaces the store it views."""
         if depth not in self._contexts:
             self._contexts[depth] = FitContext(
                 symmetric.Tables.build(self.base, depth),
@@ -436,7 +440,10 @@ class ConeReport:
     def max_violation(self) -> float:
         """Bound on the gap of every injection law at every probe: a pullback
         along ``tau: n -> m`` permutes level m, then restricts it to level n,
-        and the partial trace is contractive in trace norm."""
+        and the partial trace is contractive in trace norm.  So the
+        permutation bound (twice the twirl distance, see
+        :attr:`~finetti.exchange.LevelReport.symmetry_bound`) plus the
+        consistency gap bounds it."""
         worst = 0.0
         for report in self.probes:
             sym = max(lv.symmetry_bound for lv in report.levels)
@@ -448,10 +455,11 @@ class ConeReport:
 def check_cone(cone: Cone) -> ConeReport:
     """Verify ``pullback along eta_tau of Phi_m = Phi_n`` for all injections.
 
-    Injections are generated by the adjacent swaps and the standard
-    inclusion, so the laws hold at an apex state exactly when its sequence
-    is exchangeable: :func:`~finetti.exchange.check_exchangeable` runs at
-    each probe state, and the verdict uses :attr:`ConeReport.max_violation`.
+    Every injection is a permutation followed by the standard inclusion, so
+    the laws hold at an apex state exactly when its sequence is
+    exchangeable: :func:`~finetti.exchange.check_exchangeable` (one twirl
+    distance per level) runs at each probe state, and the verdict uses
+    :attr:`ConeReport.max_violation`.
     By linearity an exact zero at the probes holds at every apex state; a
     probe gap ``g`` allows a gap up to ``sum_b |c_b| g`` at ``kappa``, where
     ``c`` is :meth:`MediatingMap.expansion` of ``kappa``.

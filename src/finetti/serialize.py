@@ -7,9 +7,8 @@ round-trip repr, so ``decode(encode(x))`` is exact.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
-import operator
 import sys
 
 import numpy as np
@@ -93,9 +92,16 @@ def _numeric_matrix(rows, width: int) -> np.ndarray | None:
         return None
     # numpy reads a boolean among numbers as 0 or 1, so a matrix holding one
     # goes to the per-entry path, which names it.  Only the entries that read
-    # 0 or 1 can be booleans.
-    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        if type(functools.reduce(operator.getitem, index, rows)) is bool:
+    # 0 or 1 can be booleans: one pass reads their types.
+    maybe = (arr == 0) | (arr == 1)
+    if arr.ndim == 3:
+        maybe = maybe.any(axis=2)  # both parts of a candidate pair are read
+    if maybe.any():
+        flat = list(itertools.chain.from_iterable(rows))
+        entries = map(flat.__getitem__, np.flatnonzero(maybe).tolist())
+        if arr.ndim == 3:
+            entries = itertools.chain.from_iterable(entries)
+        if bool in set(map(type, entries)):
             return None
     if arr.ndim == 3:
         # A C-ordered float pair [re, im] is the memory layout of one complex.
@@ -372,9 +378,6 @@ def encode_report(report: ExchangeReport, kind: str) -> dict:
                 "level": lv.level,
                 "symmetry": lv.symmetry,
                 "symmetry_bound": lv.symmetry_bound,
-                "worst_permutation": list(lv.worst_permutation)
-                if lv.worst_permutation is not None
-                else None,
                 "consistency": lv.consistency,
                 "worst_source": lv.worst_source,
             }

@@ -135,24 +135,45 @@ def test_check_fails_on_asymmetric_sequence(capsys, tmp_path):
     _assert_verdict_from_bounds(report)
 
 
-def test_check_verdict_uses_the_symmetry_bound(capsys, tmp_path):
-    # Level 3 pulled 1e-10 toward |001><001|: its adjacent gaps stay within
-    # the tolerance, but the bound over all of S_3 (3x the largest) does not.
+def _near_exchangeable(tmp_path, tol):
+    """circuit1 at depth 3 with level 3 pulled 1e-10 toward |001><001|: every
+    permutation moves level 3 by at most 2e-10, its twirl distance is 4e-10/3
+    and the factor-2 bound 8e-10/3."""
     seq = circuit1_sequence(3)
     doc = encode_exch_seq(seq)
     e = np.zeros((8, 8))
     e[1, 1] = 1.0
     level3 = (1 - 1e-10) * seq.level(3).dens[0] + 1e-10 * e
     doc["states"][2] = [[[z.real, z.imag] for z in row] for row in level3.tolist()]
-    doc["tol"] = 3e-10
+    doc["tol"] = tol
     path = tmp_path / "near.json"
     dump_document(doc, str(path))
-    code, report = run_json(capsys, ["check", "--input", str(path), "--format", "json"])
+    return str(path)
+
+
+def test_check_verdict_uses_the_symmetry_bound(capsys, tmp_path):
+    # The twirl distance stays within the tolerance, but its bound over all of
+    # S_3 does not.
+    path = _near_exchangeable(tmp_path, 2e-10)
+    code, report = run_json(capsys, ["check", "--input", path, "--format", "json"])
     level = report["levels"][2]
     assert level["symmetry"] <= report["tolerance"] < level["symmetry_bound"]
     assert all(lv["consistency"] <= report["tolerance"] for lv in report["levels"])
     assert code == EXIT_INVARIANT
     _assert_verdict_from_bounds(report)
+
+
+def test_check_passes_a_level_within_tolerance_of_every_permutation(capsys, tmp_path):
+    # At tolerance 3e-10 every permutation gap (at most 2e-10) passes, and so
+    # does the bound.
+    path = _near_exchangeable(tmp_path, 3e-10)
+    code, report = run_json(capsys, ["check", "--input", path, "--format", "json"])
+    level = report["levels"][2]
+    assert level["symmetry"] == pytest.approx(4e-10 / 3, rel=1e-4)
+    assert level["symmetry_bound"] == pytest.approx(8e-10 / 3, rel=1e-4)
+    assert code == EXIT_OK
+    _assert_verdict_from_bounds(report)
+    assert "worst_permutation" not in level
 
 
 def test_check_depth_truncation(capsys, seq_file):

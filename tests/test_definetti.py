@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -899,6 +901,16 @@ def test_fit_context_is_read_only_and_views_the_store():
     assert np.array_equal(ctx.design, atoms.design(3))
     with pytest.raises(AttributeError):
         atoms._contexts = {}
+
+
+def test_deeper_design_frees_the_store_a_context_viewed():
+    atoms = default_atoms(2, 200, seed=1)
+    atoms.context(3)
+    store = weakref.ref(atoms._moments)
+    deep = atoms.design(5)
+    gc.collect()
+    assert store() is None
+    assert np.shares_memory(atoms.context(3).design, deep)
 
 
 def test_factorization_error_matches_per_probe_synthesis():

@@ -13,6 +13,10 @@ from finetti.classical import (
 )
 from finetti.cstar import Algebra, Element, eval_state, make_state
 from finetti.exchange import (
+    _pack,
+    _permute_axes,
+    _slot_count,
+    _twirl,
     check_exchangeable,
     eta_sigma,
     eta_tau,
@@ -23,7 +27,6 @@ from finetti.exchange import (
     power_algebra,
     pullback_state,
     restrict_state,
-    symmetry_probes,
 )
 from finetti.fixtures import (
     QUBIT,
@@ -315,31 +318,38 @@ def test_oracle_pullback_matches_pullback_state():
                         assert np.allclose([x[0, 0] for x in got.dens], ref, atol=1e-14)
 
 
-def test_symmetry_probes_are_adjacent_transpositions():
-    assert symmetry_probes(0) == symmetry_probes(1) == []
-    for n in range(2, 8):
-        probes = symmetry_probes(n)
-        assert len(probes) == n - 1
-        for i, g in enumerate(probes):
-            assert sorted(g) == list(range(n))
-            assert g == tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
-
-
-def test_check_exchangeable_permutes_each_level_once_per_adjacent_swap(monkeypatch):
+def test_check_exchangeable_takes_one_trace_norm_per_level_and_source(monkeypatch):
+    # One twirl distance for each level n >= 2, one consistency distance for
+    # each pair n < m, and no slot permutation.
     import finetti.exchange as exchange
 
     calls = []
-    real = exchange._permute_axes
-
-    def counted(d, arr, sigma):
-        calls.append(tuple(sigma))
-        return real(d, arr, sigma)
-
-    monkeypatch.setattr(exchange, "_permute_axes", counted)
+    for name in ("_distance", "_permute_axes"):
+        real = getattr(exchange, name)
+        monkeypatch.setattr(
+            exchange, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
     rho = random_density(2, np.random.default_rng(17))
     report = check_exchangeable(iid_extend(make_state(QUBIT, (rho,)), 7))
     assert report.ok
-    assert len(calls) == sum(n - 1 for n in range(2, 8)) == 21
+    assert calls == ["_distance"] * (6 + 21)
+
+
+@pytest.mark.parametrize("base", [QUBIT, Algebra((3,)), C3], ids=["qubit", "qutrit", "classical"])
+def test_twirl_is_the_idempotent_average_over_permutations(base):
+    rng = np.random.default_rng(19)
+    d = _slot_count(base)
+    for n in range(1, 6):
+        rho = _pack(base, random_level(base, n, rng))
+        twirled = _twirl(rho, d, n)
+        assert np.allclose(_twirl(twirled, d, n), twirled, atol=1e-14)
+        for i in range(n - 1):
+            swap = tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+            assert np.allclose(_permute_axes(d, twirled, swap), twirled, atol=1e-14)
+        if n <= 4:
+            perms = itertools.permutations(range(n))
+            mean = sum(_permute_axes(d, rho, s) for s in perms) / math.factorial(n)
+            assert np.allclose(twirled, mean, atol=1e-14)
 
 
 def test_adjacent_transpositions_generate_full_symmetry():
@@ -420,7 +430,6 @@ def test_check_exchangeable_flags_asymmetric_level():
     lvl = report.levels[1]
     assert lvl.level == 2
     assert lvl.symmetry > 0.5
-    assert lvl.worst_permutation == (1, 0)
 
 
 def test_check_exchangeable_flags_inconsistent_marginals():
@@ -458,7 +467,7 @@ def test_qubit_state_helper():
     assert np.allclose(s.dens[0], np.diag([1.0, 0.0]))
 
 
-# --- the adjacent-swap bound against the exhaustive oracle -----------------------
+# --- the twirl bound against the exhaustive oracle ------------------------------
 
 
 def _perturbed_tower(quantum, k, depth, rng, eps):
@@ -500,7 +509,9 @@ def test_adjacent_gap_and_bound_bracket_the_exhaustive_gap(quantum, k, depth, se
             exhaustive = exhaustive_symmetry_gap(levels[n - 1], k, n)
             assert lv.symmetry <= exhaustive + 1e-12
             assert exhaustive <= lv.symmetry_bound + 1e-12
-            assert lv.symmetry_bound == min(2.0, n * (n - 1) / 2 * lv.symmetry)
+            assert lv.symmetry_bound == min(2.0, 2 * lv.symmetry)
+            if n == 2:
+                assert abs(lv.symmetry_bound - exhaustive) <= 1e-12
         assert report.max_violation == max(
             max(lv.symmetry_bound, lv.consistency) for lv in report.levels
         )

@@ -127,6 +127,18 @@ def test_a_lone_boolean_is_named(pairs):
         decode_matrix(json_round(rows), "m")
 
 
+@pytest.mark.parametrize("pairs", [False, True], ids=["bare", "paired"])
+def test_a_boolean_among_zeros_and_ones_is_named(pairs):
+    # Every entry of a diagonal matrix reads 0 or 1 except its diagonal, so
+    # each one is a candidate; only the boolean among them is refused.
+    zero, one = ([0, 0], [1, 0.0]) if pairs else (0, 1)
+    rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
+    assert np.array_equal(decode_matrix(json_round(rows), "m"), np.eye(4))
+    rows[2][2] = [True, 0.0] if pairs else True
+    with pytest.raises(SchemaError, match=r"^m\[2\]\[2\]: expected number"):
+        decode_matrix(json_round(rows), "m")
+
+
 def test_state_round_trip():
     s = make_state(QUBIT, (np.array([[0.5, 0.25j], [-0.25j, 0.5]]),))
     back = decode_state(json_round(encode_state(s)))
