@@ -13,6 +13,7 @@ before its optimality test passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -89,7 +90,7 @@ def _load_sequence(args):
     doc = serialize.load_document(args.input)
     seq = serialize.detect_sequence(doc, args.input)
     if args.tol is not None:
-        seq.tolerance = args.tol
+        seq = dataclasses.replace(seq, tolerance=args.tol)
     if args.depth is not None:
         if args.depth > seq.depth:
             raise SchemaError(f"--depth {args.depth} outside 1..{seq.depth}")
@@ -167,7 +168,7 @@ def cmd_factor(args) -> int:
     doc = serialize.load_document(args.input)
     cone = serialize.decode_cone(doc, args.input)
     if args.tol is not None:
-        cone.tolerance = args.tol
+        cone = dataclasses.replace(cone, tolerance=args.tol)
     atoms = _load_atoms(args, cone.base)
     med = mediating_map(cone, atoms, max_residual=args.max_residual)
     err = factorization_error(cone, med)

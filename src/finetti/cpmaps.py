@@ -42,9 +42,10 @@ SCHRODINGER = "S"
 MAP_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChoiMap:
-    """A linear map between two block algebras, in Choi form."""
+    """A linear map between two block algebras, in Choi form; immutable, its
+    Choi matrix read-only."""
 
     source: Algebra
     target: Algebra
@@ -59,7 +60,7 @@ class ChoiMap:
         if choi.shape != (side, side):
             raise ValueError(f"Choi matrix shape {choi.shape} does not match ({side}, {side})")
         choi.setflags(write=False)
-        self.choi = choi
+        object.__setattr__(self, "choi", choi)
 
     def _choi4(self) -> np.ndarray:
         ds, dt = self.source.rep_dim, self.target.rep_dim

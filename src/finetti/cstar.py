@@ -252,6 +252,22 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
+def trace_norms(mats: np.ndarray) -> np.ndarray:
+    """:func:`trace_norm` of each matrix of a ``(k, d, d)`` stack, the
+    Hermitian ones in one stacked eigensolve."""
+    mats = np.asarray(mats, dtype=complex)
+    adj = mats.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    herm = np.abs(mats - adj).max(axis=(-2, -1)) <= 1e-12 * scale
+    out = np.empty(len(mats))
+    if herm.any():
+        h = (mats[herm] + adj[herm]) / 2.0
+        out[herm] = np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+    if not herm.all():
+        out[~herm] = np.linalg.svd(mats[~herm], compute_uv=False).sum(axis=-1)
+    return out
+
+
 def state_distance(s1: StateVec, s2: StateVec) -> float:
     """Trace-norm distance between two states on the same algebra."""
     if s1.algebra != s2.algebra:

@@ -11,7 +11,8 @@ The pieces:
   level 1 (the barycenter) first and then the stacked level data with the
   barycenter held, returning the mixture and the attained residual;
 * :class:`Cone` -- a parameterized family of channels ``Phi_n`` from an apex
-  algebra into the tower, compatible with all injection actions;
+  algebra into the tower, compatible with all injection actions, with its
+  towers at the probe states of the apex derived once;
 * :func:`mediating_map` -- factor a cone through an atom set by
   reconstructing at a spanning family of apex states and extending linearly.
 
@@ -42,7 +43,7 @@ from .exchange import (
     ExchangeReport,
     check_exchangeable,
     power_algebra,
-    _distance,
+    _distances,
     _pack,
     _unpack,
 )
@@ -357,16 +358,38 @@ def reconstruct(
 
 # --- cones and mediating maps -------------------------------------------------
 
-@dataclass
+class ConeProbes(NamedTuple):
+    """What every check and fit of a cone reads at the probe states of its
+    apex, read-only (see :meth:`Cone.probes`): the probe family and its basis
+    (:func:`probe_states`), and the tower the cone induces at each probe
+    (:meth:`Cone.sequence`)."""
+
+    states: tuple[StateVec, ...]
+    basis: np.ndarray
+    towers: tuple[ExchSeq, ...]
+
+
+@dataclass(frozen=True)
 class Cone:
-    """Channels ``Phi_n`` from an apex algebra into the tower, one per level."""
+    """Channels ``Phi_n`` from an apex algebra into the tower, one per level.
+
+    A cone is immutable: the channels are a tuple (a list is accepted) and
+    the instance is frozen, so a new tolerance makes a new cone
+    (``dataclasses.replace``).  What its checks and fits read at the probe
+    states -- the towers (:meth:`probes`), the law report (:meth:`report`)
+    and the towers' symmetric coordinates (:meth:`targets`) -- is derived
+    when first asked for, kept read-only and served to every later call.
+    Constructing a cone derives none of it.
+    """
 
     apex: Algebra
     depth: int
-    channels: list[ChoiMap] = field(repr=False)
+    channels: tuple[ChoiMap, ...] = field(repr=False)
     tolerance: float = 1e-9
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "channels", tuple(self.channels))
         if self.depth != len(self.channels):
             raise ValueError(f"depth {self.depth} != {len(self.channels)} channels")
         if self.depth < 1:
@@ -401,6 +424,45 @@ class Cone:
             levels = [lv.diagonal() for lv in levels]
         return ExchSeq(self.base, tuple(levels), tol)
 
+    def probes(self) -> ConeProbes:
+        """The probe family of the apex and the cone's tower at each probe,
+        memoized."""
+        if "probes" not in self._memo:
+            states, basis = probe_states(self.apex)
+            basis.setflags(write=False)
+            towers = tuple(self.sequence(kappa) for kappa in states)
+            self._memo["probes"] = ConeProbes(tuple(states), basis, towers)
+        return self._memo["probes"]
+
+    def report(self) -> "ConeReport":
+        """The cone-law report of :func:`check_cone`, memoized."""
+        if "report" not in self._memo:
+            reports = tuple(check_exchangeable(tower) for tower in self.probes().towers)
+            self._memo["report"] = ConeReport(self.tolerance, reports)
+        return self._memo["report"]
+
+    def targets(self, tables: symmetric.Tables) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetric coordinates of the probe towers, one row per probe, and
+        the norm of each tower's part off the symmetric subspace
+        (:func:`~finetti.symmetric.project`), memoized.  ``tables`` are the
+        tables of the cone's base at its depth, as the fit context of any
+        atom set on that base holds them; they depend on nothing else, so the
+        targets do not depend on which atom set lent them."""
+        if tables.base != self.base or len(tables.levels) != self.depth:
+            raise ValueError(
+                f"tables of {tables.base} at depth {len(tables.levels)}, "
+                f"cone is on {self.base} at depth {self.depth}"
+            )
+        if "targets" not in self._memo:
+            rows, offs = zip(
+                *(symmetric.project(tables, tower.levels) for tower in self.probes().towers)
+            )
+            rows, offs = np.stack(rows), np.array(offs)
+            rows.setflags(write=False)
+            offs.setflags(write=False)
+            self._memo["targets"] = (rows, offs)
+        return self._memo["targets"]
+
 
 def probe_states(algebra: Algebra) -> tuple[list[StateVec], np.ndarray]:
     """A spanning family of states built from the Hermitian matrix-unit basis.
@@ -424,13 +486,13 @@ def probe_states(algebra: Algebra) -> tuple[list[StateVec], np.ndarray]:
     return states, basis
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConeReport:
     """One exchangeability report per probe state of the apex, each on the
     sequence the cone induces there (:meth:`Cone.sequence`)."""
 
     tolerance: float
-    probes: list[ExchangeReport]
+    probes: tuple[ExchangeReport, ...]
 
     @property
     def ok(self) -> bool:
@@ -458,16 +520,14 @@ def check_cone(cone: Cone) -> ConeReport:
     Every injection is a permutation followed by the standard inclusion, so
     the laws hold at an apex state exactly when its sequence is
     exchangeable: :func:`~finetti.exchange.check_exchangeable` (one twirl
-    distance per level) runs at each probe state, and the verdict uses
-    :attr:`ConeReport.max_violation`.
+    distance per level) runs on the cone's tower at each probe state, and
+    the verdict uses :attr:`ConeReport.max_violation`.  The report is the
+    cone's own (:meth:`Cone.report`), built once.
     By linearity an exact zero at the probes holds at every apex state; a
     probe gap ``g`` allows a gap up to ``sum_b |c_b| g`` at ``kappa``, where
     ``c`` is :meth:`MediatingMap.expansion` of ``kappa``.
     """
-    probes, _ = probe_states(cone.apex)
-    return ConeReport(
-        cone.tolerance, [check_exchangeable(cone.sequence(kappa)) for kappa in probes]
-    )
+    return cone.report()
 
 
 @dataclass
@@ -522,7 +582,8 @@ def mediating_map(
 
     Checks the cone laws first (raising :class:`ConeLawViolation`), then
     reconstructs the induced sequence at each probe state as
-    :func:`reconstruct` does, all probes in one stacked solve; a residual
+    :func:`reconstruct` does, all probes in one stacked solve on the cone's
+    targets (:meth:`Cone.targets`); a residual
     above ``max_residual`` raises :class:`NotRepresentable` for the first
     such probe.
     """
@@ -531,30 +592,32 @@ def mediating_map(
         raise ConeLawViolation(report)
     if cone.base != atoms.base:
         raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
-    probes, basis = probe_states(cone.apex)
+    probes = cone.probes()
     ctx = atoms.context(cone.depth)
     # Cone laws already certify exchangeability of the probe sequences.
-    targets, offs = zip(
-        *(symmetric.project(ctx.tables, cone.sequence(kappa).levels) for kappa in probes)
-    )
-    weights, fits = lead_first_lstsq(ctx.solve, np.stack(targets))
+    targets, offs = cone.targets(ctx.tables)
+    weights, fits = lead_first_lstsq(ctx.solve, targets)
     residuals = np.hypot(fits, offs)
     for idx, res in enumerate(residuals):
         if res > max_residual:
             raise NotRepresentable(idx, float(res), max_residual)
-    return MediatingMap(cone.apex, atoms, probes, basis, weights, residuals)
+    return MediatingMap(cone.apex, atoms, list(probes.states), probes.basis, weights, residuals)
 
 
 def factorization_error(cone: Cone, med: MediatingMap) -> float:
     """Largest trace-norm gap ``||Phi_n(kappa) - sum_k w_k sigma_k^(x n)||``
     over the probe states and all levels.  The mixture towers of all probes
-    come from one :func:`~finetti.symmetric.unproject` call."""
+    come from one :func:`~finetti.symmetric.unproject` call, and each level's
+    gaps from one stacked norm over the probes."""
+    if med.apex != cone.apex:
+        raise ValueError(f"mediating map on apex {med.apex}, cone apex is {cone.apex}")
     ctx = med.atomset.context(cone.depth)
     synth = symmetric.unproject(ctx.tables, med.weights @ ctx.design.T)
+    towers = cone.probes().towers
     worst = 0.0
-    for i, kappa in enumerate(med.probes):
-        for got, want in zip(cone.sequence(kappa).levels, synth):
-            worst = max(worst, _distance(got, want[i]))
+    for n, want in enumerate(synth):
+        got = np.stack([tower.levels[n] for tower in towers])
+        worst = max(worst, float(_distances(got, want).max()))
     return worst
 
 
@@ -592,7 +655,8 @@ def uniqueness_check(
     vector; with degenerate atoms (rank below the atom count) the weight
     spread is reported but only the moment image is expected to agree.  The
     moment spread is the largest entry of the gap between the synthesized
-    levels of two restarts at one probe.  Raises ``ValueError`` when
+    levels of two restarts at one probe: each restart's levels are
+    synthesized once, then compared pair by pair.  Raises ``ValueError`` when
     ``trials`` is below 2, which leaves no pair of restarts to compare, and
     when the cone's base is not the atoms' base, as :func:`mediating_map`
     does.
@@ -603,23 +667,23 @@ def uniqueness_check(
         raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
     rng = np.random.default_rng(seed)
     rank = moment_rank(atoms, cone.depth)
-    probes, _ = probe_states(cone.apex)
     ctx = atoms.context(cone.depth)
-    k = len(atoms)
+    targets, _ = cone.targets(ctx.tables)
+    n_probes, k = len(targets), len(atoms)
     face = min(atoms.base.dim, k)
-    targets = np.stack(
-        [symmetric.project(ctx.tables, cone.sequence(kappa).levels)[0] for kappa in probes]
-    )
-    starts = np.zeros((len(probes) * trials, k))
+    starts = np.zeros((n_probes * trials, k))
     for start in starts:
         start[rng.choice(k, face, replace=False)] = rng.dirichlet(np.ones(face))
     sols, _ = lead_first_lstsq(ctx.solve, np.repeat(targets, trials, axis=0), start=starts)
-    sols = sols.reshape(len(probes), trials, k)
+    levels = symmetric.unproject(ctx.tables, sols @ ctx.design.T)
     i, j = np.triu_indices(trials, 1)
-    gaps = (sols[:, i] - sols[:, j]).reshape(-1, k)
-    levels = symmetric.unproject(ctx.tables, gaps @ ctx.design.T)
-    weight_spread = float(np.abs(gaps).max())
-    moment_spread = max(float(np.abs(lv).max()) for lv in levels)
+
+    def spread(rows: np.ndarray) -> float:
+        rows = rows.reshape(n_probes, trials, -1)
+        return float(np.abs(rows[:, i] - rows[:, j]).max())
+
+    weight_spread = spread(sols)
+    moment_spread = max(spread(lv) for lv in levels)
     return UniquenessReport(
         k, rank, rank == k, trials, seed, weight_spread, moment_spread
     )

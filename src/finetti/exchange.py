@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .cstar import Algebra, Element, StateVec, trace_norm
+from .cstar import Algebra, Element, StateVec, trace_norm, trace_norms
 
 DEFAULT_SEQ_TOL = 1e-9
 
@@ -218,15 +218,16 @@ def _twirl(arr: np.ndarray, d: int, n: int) -> np.ndarray:
 
 # --- exchangeable sequences --------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExchSeq:
     """States ``rho_1 .. rho_N`` on the tensor-power tower over ``base``.
 
-    Each level is held packed and read-only: level n is a ``d^n x d^n``
-    matrix on a single-block base, or a length ``b^n`` vector of block
-    values on a commutative base on ``b`` points.  :meth:`level` gives it
-    back as a :class:`~finetti.cstar.StateVec`; :func:`make_exch_seq` builds
-    a tower from StateVecs.
+    A tower is immutable (a new tolerance makes a new tower,
+    ``dataclasses.replace``), and each level is held packed and read-only:
+    level n is a ``d^n x d^n`` matrix on a single-block base, or a length
+    ``b^n`` vector of block values on a commutative base on ``b`` points.
+    :meth:`level` gives it back as a :class:`~finetti.cstar.StateVec`;
+    :func:`make_exch_seq` builds a tower from StateVecs.
     """
 
     base: Algebra
@@ -238,7 +239,7 @@ class ExchSeq:
             raise ValueError("need at least one level")
         d = _slot_count(self.base)
         axes = 2 if _base_kind(self.base) == "quantum" else 1
-        self.levels = tuple(map(np.array, self.levels))
+        object.__setattr__(self, "levels", tuple(map(np.array, self.levels)))
         for n, lv in enumerate(self.levels, start=1):
             if lv.shape != (d**n,) * axes:
                 raise ValueError(f"level {n} has shape {lv.shape}, expected {(d**n,) * axes}")
@@ -280,7 +281,7 @@ def iid_extend(sigma: StateVec, depth: int, tolerance: float = DEFAULT_SEQ_TOL) 
     return ExchSeq(sigma.algebra, tuple(levels[:depth]), tolerance)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelReport:
     level: int
     symmetry: float
@@ -302,10 +303,10 @@ class LevelReport:
         return min(2.0, 2.0 * self.symmetry)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExchangeReport:
     tolerance: float
-    levels: list[LevelReport]
+    levels: tuple[LevelReport, ...]
 
     @property
     def ok(self) -> bool:
@@ -347,6 +348,13 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).sum())
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_distance` of each pair of packed levels in two stacks."""
+    if a.ndim == 3:
+        return trace_norms(a - b)
+    return np.abs(a - b).sum(axis=1)
+
+
 def _check_levels(levels, d: int, tolerance: float) -> ExchangeReport:
     """The exchangeability check on packed levels ``1..N`` with ``d`` values
     per slot: matrices for a single-block base, vectors for a commutative
@@ -359,4 +367,4 @@ def _check_levels(levels, d: int, tolerance: float) -> ExchangeReport:
             for m in range(n + 1, len(levels) + 1)
         )
         reports.append(LevelReport(n, sym, cons, worst_m))
-    return ExchangeReport(tolerance, reports)
+    return ExchangeReport(tolerance, tuple(reports))

@@ -458,6 +458,25 @@ def test_factor_broken_cone(capsys, tmp_path):
     assert main(["factor", "--input", str(path)]) == EXIT_INVARIANT
 
 
+def test_factor_tol_overrides_the_cone_tolerance(capsys, tmp_path):
+    # The broken cone's law bound is 0.8: it fails the tolerance stored in
+    # its file, and passes the laws under a --tol above 0.8, where no mixture
+    # fits its inconsistent levels.
+    path = tmp_path / "broken_cone.json"
+    dump_document(encode_cone(broken_cone()), str(path))
+    assert main(["factor", "--input", str(path)]) == EXIT_INVARIANT
+    assert "exceeds tolerance 1.0e-09" in capsys.readouterr().err
+    code = main(["factor", "--input", str(path), "--tol", "0.9"])
+    assert code == EXIT_NOT_REPRESENTABLE
+    assert "residual" in capsys.readouterr().err
+    code, doc = run_json(
+        capsys,
+        ["factor", "--input", str(path), "--tol", "0.9", "--max-residual", "10", "--format", "json"],
+    )
+    assert code == EXIT_OK
+    assert len(doc["weights"]) == 4
+
+
 def test_demo_all_scenarios(capsys):
     for name in ("circuit1", "circuit2", "equator", "unknown-qubit", "coin"):
         assert main(["demo", name]) == EXIT_OK, name

@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import gc
 import math
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from finetti.definetti import (
     AtomSet,
     Cone,
     ConeLawViolation,
+    ConeReport,
     Mixture,
     NotExchangeable,
     NotRepresentable,
@@ -47,6 +50,7 @@ from finetti.fixtures import (
     broken_cone,
     circuit1_atoms,
     circuit1_sequence,
+    circuit2_atoms,
     circuit2_sequence,
     coin_grid,
     coin_sequence,
@@ -58,6 +62,7 @@ from finetti.fixtures import (
     singlet_sequence,
     unknown_qubit_sequence,
 )
+from finetti import symmetric
 from finetti.solvers import realify
 
 from oracles import (
@@ -425,7 +430,7 @@ def test_trivial_apex_cone_reports_the_levels_of_its_sequence():
             for n in range(1, seq.depth + 1)
         ]
         report = check_cone(Cone(trivial, seq.depth, channels, seq.tolerance))
-        assert report.probes == [check_exchangeable(seq)], name
+        assert report.probes == (check_exchangeable(seq),), name
 
 
 def test_mediating_map_on_measure_prepare_cone():
@@ -930,6 +935,148 @@ def test_factorization_error_matches_per_probe_synthesis():
             for got, want in zip(cone.sequence(kappa).levels, synth.levels):
                 worst = max(worst, _distance(got, want))
         assert abs(factorization_error(cone, med) - worst) <= 1e-14
+
+
+def test_factorization_error_refuses_a_map_on_another_apex():
+    sigma = qubit_state(np.diag([0.3, 0.7]))
+    med = mediating_map(constant_cone(sigma, 3, Algebra((1, 1))), circuit2_atoms(), max_residual=1.0)
+    with pytest.raises(ValueError, match="apex"):
+        factorization_error(constant_cone(sigma, 3), med)
+
+
+def test_spreads_are_the_largest_gaps_over_all_pairs_of_restarts(monkeypatch):
+    # The restarts' levels are synthesized once, then compared pair by pair;
+    # the reference synthesizes each pair's weight gap.  Random weights stand
+    # in for the solves, so that the restarts' moments differ.
+    import finetti.definetti as definetti
+
+    rng = np.random.default_rng(4)
+    drawn = []
+
+    def solve(fit, b, start):
+        drawn.append(rng.dirichlet(np.ones(start.shape[1]), size=len(b)))
+        return drawn[-1], np.zeros(len(b))
+
+    monkeypatch.setattr(definetti, "lead_first_lstsq", solve)
+    cases = [
+        (measure_prepare_cone(3), default_atoms(2, 12, seed=5)),
+        (constant_cone(qubit_state(np.eye(2) / 2), 3, Algebra((1, 1))), equator_atoms(16)),
+    ]
+    trials = 6
+    for cone, atoms in cases:
+        report = uniqueness_check(cone, atoms, trials=trials, seed=2)
+        sols = drawn[-1].reshape(-1, trials, len(atoms))
+        i, j = np.triu_indices(trials, 1)
+        gaps = (sols[:, i] - sols[:, j]).reshape(-1, len(atoms))
+        ctx = atoms.context(cone.depth)
+        levels = symmetric.unproject(ctx.tables, gaps @ ctx.design.T)
+        assert report.max_weight_spread == np.abs(gaps).max()
+        ref = max(np.abs(lv).max() for lv in levels)
+        assert ref > 1e-3
+        assert abs(report.max_moment_spread - ref) <= 1e-15
+
+
+# --- a cone's probe data --------------------------------------------------------
+
+
+def _count_channel_applications(monkeypatch):
+    import finetti.definetti as definetti
+
+    calls = []
+    real = definetti.apply_dense
+    monkeypatch.setattr(
+        definetti, "apply_dense", lambda f, dense: calls.append(id(f)) or real(f, dense)
+    )
+    return calls
+
+
+def test_factor_pipeline_builds_each_probe_tower_once(monkeypatch):
+    # The cone derives its probe towers, law report and targets on first
+    # use: the whole factor pipeline, run twice, applies each channel once at
+    # each probe state.  A new cone builds its own.
+    applied = _count_channel_applications(monkeypatch)
+    atoms = circuit1_atoms()
+    cone = measure_prepare_cone(3)  # apex A(2): four probe states
+    assert applied == []
+    for _ in range(2):
+        assert check_cone(cone).ok
+        med = mediating_map(cone, atoms)
+        assert factorization_error(cone, med) < 1e-7
+        uniqueness_check(cone, atoms, trials=3)
+    assert sorted(applied) == sorted(4 * [id(ch) for ch in cone.channels])
+    fresh = measure_prepare_cone(3)
+    mediating_map(fresh, atoms)
+    assert len(applied) == 2 * 4 * 3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: measure_prepare_cone(3),
+        lambda: constant_cone(qubit_state(np.diag([0.3, 0.7])), 4, Algebra((1, 1))),
+        lambda: broken_cone(3),
+    ],
+    ids=["measure-prepare", "constant-A(1+1)", "broken"],
+)
+def test_cone_memo_is_its_towers_and_read_only(make):
+    cone = make()
+    tables = symmetric.Tables.build(cone.base, cone.depth)
+    probes, report, (targets, offs) = cone.probes(), cone.report(), cone.targets(tables)
+    assert cone.probes() is probes and cone.report() is report
+    assert cone.targets(symmetric.Tables.build(cone.base, cone.depth))[0] is targets
+    for depth in (cone.depth - 1, cone.depth + 1):
+        with pytest.raises(ValueError, match="tables of"):
+            cone.targets(symmetric.Tables.build(cone.base, depth))
+    states, basis = probe_states(cone.apex)
+    assert np.array_equal(probes.basis, basis)
+    fresh = []
+    for i, (kappa, tower) in enumerate(zip(probes.states, probes.towers, strict=True)):
+        ref = cone.sequence(kappa)
+        fresh.append(check_exchangeable(ref))
+        assert all(np.array_equal(a, b) for a, b in zip(tower.levels, ref.levels, strict=True))
+        target, off = symmetric.project(tables, ref.levels)
+        assert np.array_equal(targets[i], target)
+        assert offs[i] == off
+    assert report == ConeReport(cone.tolerance, tuple(fresh))
+    arrays = [probes.basis, targets, offs]
+    arrays += [lv for tower in probes.towers for lv in tower.levels]
+    arrays += [m for s in probes.states for m in s.dens]
+    arrays += [ch.choi for ch in cone.channels]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    assert isinstance(cone.channels, tuple)
+    with pytest.raises(FrozenInstanceError):
+        cone.tolerance = 1.0
+    with pytest.raises(FrozenInstanceError):
+        probes.towers[0].levels = probes.towers[0].levels[:1]
+    with pytest.raises(FrozenInstanceError):
+        cone.channels[0].choi = np.eye(len(cone.channels[0].choi))
+
+
+def test_cone_with_a_new_tolerance_reports_its_own_verdict():
+    cone = broken_cone()
+    assert not check_cone(cone).ok
+    loose = dataclasses.replace(cone, tolerance=0.9)
+    assert check_cone(loose).ok
+    assert check_cone(loose).tolerance == 0.9
+    assert not check_cone(cone).ok
+
+
+def test_reports_are_frozen():
+    report = check_cone(broken_cone())
+    probe = report.probes[0]
+    assert isinstance(report.probes, tuple) and isinstance(probe.levels, tuple)
+    for obj, name in [
+        (report, "tolerance"),
+        (report, "probes"),
+        (probe, "tolerance"),
+        (probe, "levels"),
+        (probe.levels[0], "symmetry"),
+    ]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0.0)
 
 
 # --- the distinctness screen ---------------------------------------------------

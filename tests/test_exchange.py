@@ -13,6 +13,8 @@ from finetti.classical import (
 )
 from finetti.cstar import Algebra, Element, eval_state, make_state
 from finetti.exchange import (
+    _distance,
+    _distances,
     _pack,
     _permute_axes,
     _slot_count,
@@ -541,3 +543,19 @@ def test_verdict_is_no_looser_than_the_exhaustive_one_on_every_fixture():
         for n, lv in enumerate(report.levels, start=1):
             assert exhaustive_symmetry_gap(levels[n - 1], k, n) <= seq.tolerance, (name, n)
             assert lv.consistency <= seq.tolerance, (name, n)
+
+
+def test_stacked_distances_match_the_pairwise_ones():
+    # Hermitian gaps go through one stacked eigensolve, others through the
+    # singular values, and packed vectors through the l1 norm: each entry is
+    # the per-pair distance.
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((6, 8, 8)) + 1j * rng.standard_normal((6, 8, 8))
+    a = g + g.conj().swapaxes(1, 2)
+    a[[1, 4]] += 1e-6 * rng.standard_normal((2, 8, 8))  # not Hermitian
+    b = np.zeros_like(a)
+    vecs = rng.standard_normal((5, 27))
+    for x, y in ((a, b), (a[[1, 4]], b[:2]), (a[[0, 2]], b[:2]), (vecs, vecs[::-1])):
+        got = _distances(x, y)
+        assert got.shape == (len(x),)
+        assert np.abs(got - [_distance(p, q) for p, q in zip(x, y)]).max() <= 1e-13
