@@ -5,11 +5,14 @@ list.  Measures on ``X^n`` use lexicographic tuple order, which makes the
 product measure a Kronecker power and keeps every index manipulation a
 reshape/transpose, mirroring the quantum tower.
 
-``hs_reconstruct`` recovers a mixing measure over a grid of candidate biases
-from an exchangeable family of tuple measures, on the design of
-:mod:`finetti.symmetric` (the diagonal case: coordinates are type counts);
-``encode_*`` helpers re-express the same data over all-ones block algebras
-so the operator-algebra route can be run on it unchanged.
+A finite probability space is a commutative algebra, so exchangeable
+families and grids of biases are handled by the tower's own machinery:
+``encode_seq`` makes a family an :class:`~finetti.exchange.ExchSeq` on the
+all-ones block algebra of its space, ``grid_atoms`` makes a grid an
+:class:`~finetti.definetti.AtomSet` there, and ``hs_reconstruct``,
+``classical_moment_rank`` and ``check_exchangeable_measures`` are the
+tower's fit, design rank and check on them.  On that base the symmetric
+coordinates of :mod:`finetti.symmetric` are the type counts.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import symmetric
 from .cstar import Algebra, StateVec
-from .exchange import ExchSeq, ExchangeReport, _check_levels
-from .solvers import lead_first_lstsq
+from .definetti import AtomSet, explicit_atoms, reconstruct
+from .exchange import ExchSeq, ExchangeReport, check_exchangeable
 
 PROB_TOL = 1e-9
 
@@ -160,12 +162,6 @@ class ClassicalExchSeq:
         return self.measures[n - 1]
 
 
-def iid_measures(mu: FinDist, depth: int, tolerance: float = PROB_TOL) -> ClassicalExchSeq:
-    return ClassicalExchSeq(
-        mu.space, depth, [product_measure(mu, n) for n in range(1, depth + 1)], tolerance
-    )
-
-
 def synthesize_measures(
     grid: list[FinDist], weights, depth: int, tolerance: float = PROB_TOL
 ) -> ClassicalExchSeq:
@@ -180,52 +176,23 @@ def synthesize_measures(
 
 
 def check_exchangeable_measures(seq: ClassicalExchSeq) -> ExchangeReport:
-    """Symmetry and marginal consistency in total variation (l1) norm: the
-    check of :func:`~finetti.exchange.check_exchangeable`, run on the
-    probability vectors."""
-    return _check_levels([mu.probs for mu in seq.measures], len(seq.space), seq.tolerance)
-
-
-def _design(grid: list[FinDist], depth: int) -> np.ndarray:
-    """The grid's iid design up to ``depth`` in symmetric coordinates, with
-    contiguous columns like :meth:`~finetti.definetti.AtomSet.design`, so
-    the two routes round alike."""
-    base = encode_space(grid[0].space)
-    coords = symmetric.coordinates(base, np.stack([mu.probs for mu in grid]))
-    return np.ascontiguousarray(symmetric.iid_levels(coords, range(1, depth + 1))).T
+    """:func:`~finetti.exchange.check_exchangeable` on the encoded family:
+    symmetry and marginal consistency in total variation (l1) norm."""
+    return check_exchangeable(encode_seq(seq))
 
 
 def classical_moment_rank(grid: list[FinDist], depth: int) -> int:
-    return int(np.linalg.matrix_rank(_design(grid, depth)))
+    return grid_atoms(grid).rank(depth)
 
 
 def hs_reconstruct(
-    seq: ClassicalExchSeq,
-    grid: list[FinDist],
-    *,
-    check: bool = True,
-    start: np.ndarray | None = None,
+    seq: ClassicalExchSeq, grid: list[FinDist], *, check: bool = True
 ) -> tuple[np.ndarray, float]:
-    """Recover a mixing measure over ``grid`` from an exchangeable family.
-
-    Same objective, design and solver as the operator-algebra route
-    (:func:`~finetti.definetti.reconstruct`): level 1, the first
-    ``len(space)`` rows, is fitted over the probability simplex first; then
-    all levels are fitted with the level-1 image held at that fit.  Returns
-    the weights and the residual over all levels.
-    """
-    if check:
-        report = check_exchangeable_measures(seq)
-        if not report.ok:
-            from .definetti import NotExchangeable
-
-            raise NotExchangeable(report)
-    tables = symmetric.Tables.build(encode_space(seq.space), seq.depth)
-    target, off = symmetric.project(tables, [mu.probs for mu in seq.measures])
-    w, residual = lead_first_lstsq(
-        _design(grid, seq.depth), target, slice(0, len(seq.space)), start=start
-    )
-    return w, float(np.hypot(residual, off))
+    """Recover a mixing measure over ``grid`` from an exchangeable family:
+    :func:`~finetti.definetti.reconstruct` on the encoded family and grid.
+    Returns the weights and the residual over all levels."""
+    mix, residual = reconstruct(encode_seq(seq), grid_atoms(grid), check=check)
+    return mix.weights, residual
 
 
 # --- commutative encoding bridge ----------------------------------------------
@@ -237,6 +204,11 @@ def encode_space(space) -> Algebra:
 
 def encode_dist(dist: FinDist) -> StateVec:
     return StateVec(encode_space(dist.space), [np.array([[p]]) for p in dist.probs])
+
+
+def grid_atoms(grid: list[FinDist]) -> AtomSet:
+    """A grid of measures on one space as the atom set of their encodings."""
+    return explicit_atoms(map(encode_dist, grid))
 
 
 def encode_seq(seq: ClassicalExchSeq) -> ExchSeq:

@@ -20,14 +20,13 @@ import sys
 import numpy as np
 
 from . import classical, fixtures, serialize
-from .cstar import StateVec, state_distance
+from .cstar import state_distance
 from .definetti import (
     AtomSet,
     ConeLawViolation,
     NotExchangeable,
     NotRepresentable,
     default_atoms,
-    explicit_atoms,
     factorization_error,
     mediating_map,
     moment_rank,
@@ -117,8 +116,9 @@ def _load_atoms(args, base) -> AtomSet:
     if base.n_blocks != 2:
         raise SchemaError("no default grid beyond two-point spaces; pass --atoms")
     count = _atom_count(args, 2)
-    biases = [j / (count - 1) for j in range(count)]
-    return explicit_atoms(StateVec(base, [[[p]], [[1.0 - p]]]) for p in biases)
+    return classical.grid_atoms(
+        [classical.bernoulli((0, 1), j / (count - 1)) for j in range(count)]
+    )
 
 
 def cmd_check(args) -> int:
@@ -197,7 +197,7 @@ DEMOS = {
     "coin": (
         5,
         lambda depth: classical.encode_seq(fixtures.coin_sequence(depth)),
-        lambda: explicit_atoms(map(classical.encode_dist, fixtures.coin_grid())),
+        lambda: classical.grid_atoms(fixtures.coin_grid()),
     ),
 }
 

@@ -99,9 +99,6 @@ class Element:
         checked = _check_block_shapes(self.algebra, self.mats, "Element")
         self.mats = [_as_locked_complex(m) for m in checked]
 
-    def adjoint(self) -> "Element":
-        return Element(self.algebra, [m.conj().T for m in self.mats])
-
 
 @dataclass
 class StateVec:
@@ -138,35 +135,27 @@ def is_positive_element(a: Element, tol: float = PSD_TOL) -> bool:
     return all(_min_eig_symmetrized(m) >= -tol for m in a.mats)
 
 
-def make_state(
-    algebra: Algebra,
-    dens,
-    *,
-    psd_tol: float = PSD_TOL,
-    tr_tol: float = TRACE_TOL,
-    validate: bool = True,
-) -> StateVec:
+def make_state(algebra: Algebra, dens) -> StateVec:
     """Build a :class:`StateVec`, checking positivity and unit total trace.
 
     Raises
     ------
     ValueError
-        If a density block is non-Hermitian beyond ``psd_tol``, has an
-        eigenvalue below ``-psd_tol``, or the traces do not sum to 1 within
-        ``tr_tol``.  The message includes the measured defect.
+        If a density block is non-Hermitian beyond ``PSD_TOL``, has an
+        eigenvalue below ``-PSD_TOL``, or the traces do not sum to 1 within
+        ``TRACE_TOL``.  The message includes the measured defect.
     """
     s = StateVec(algebra, dens)
-    if validate:
-        defect = hermiticity_defect(s)
-        if defect > psd_tol:
-            raise ValueError(f"density blocks not Hermitian: defect {defect:.3e}")
-        for i, m in enumerate(s.dens):
-            lo = _min_eig_symmetrized(m)
-            if lo < -psd_tol:
-                raise ValueError(f"density block {i} not positive: min eigenvalue {lo:.3e}")
-        total = sum(float(np.trace(m).real) for m in s.dens)
-        if abs(total - 1.0) > tr_tol:
-            raise ValueError(f"total trace {total!r} differs from 1 beyond {tr_tol}")
+    defect = hermiticity_defect(s)
+    if defect > PSD_TOL:
+        raise ValueError(f"density blocks not Hermitian: defect {defect:.3e}")
+    for i, m in enumerate(s.dens):
+        lo = _min_eig_symmetrized(m)
+        if lo < -PSD_TOL:
+            raise ValueError(f"density block {i} not positive: min eigenvalue {lo:.3e}")
+    total = sum(float(np.trace(m).real) for m in s.dens)
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValueError(f"total trace {total!r} differs from 1 beyond {TRACE_TOL}")
     return s
 
 
@@ -245,15 +234,11 @@ def state_to_dense(s: StateVec) -> np.ndarray:
 
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values (eigensolve shortcut for Hermitian inputs)."""
-    mat = np.asarray(mat, dtype=complex)
-    if np.abs(mat - mat.conj().T).max() <= 1e-12 * max(1.0, np.abs(mat).max()):
-        h = (mat + mat.conj().T) / 2.0
-        return float(np.abs(np.linalg.eigvalsh(h)).sum())
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    return float(trace_norms(np.asarray(mat)[None])[0])
 
 
 def trace_norms(mats: np.ndarray) -> np.ndarray:
-    """:func:`trace_norm` of each matrix of a ``(k, d, d)`` stack, the
+    """Sum of singular values of each matrix of a ``(k, d, d)`` stack, the
     Hermitian ones in one stacked eigensolve."""
     mats = np.asarray(mats, dtype=complex)
     adj = mats.conj().swapaxes(-1, -2)

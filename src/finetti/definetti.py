@@ -316,18 +316,16 @@ def reconstruct(
     *,
     depth: int | None = None,
     check: bool = True,
-    start: np.ndarray | None = None,
 ) -> tuple[Mixture, float]:
     """Best mixture of iid towers over ``atoms`` matching the sequence.
 
     Level 1 comes first, since the level-1 state of a mixture is its
     barycenter ``sum_k w_k sigma_k``.  Stage 1 minimizes
-    ``||rho_1 - sum_k w_k sigma_k||_F`` over the probability simplex
-    (``start`` seeds it).  Stage 2 minimizes
-    ``sum_n ||rho_n - sum_k w_k sigma_k^(x n)||_F^2`` over the simplex with
-    the barycenter held exactly at the stage-1 one.  So the barycenter equals
-    ``rho_1`` whenever ``rho_1`` lies in the hull of the atoms, and is its
-    projection onto that hull when it does not.  See
+    ``||rho_1 - sum_k w_k sigma_k||_F`` over the probability simplex.  Stage
+    2 minimizes ``sum_n ||rho_n - sum_k w_k sigma_k^(x n)||_F^2`` over the
+    simplex with the barycenter held exactly at the stage-1 one.  So the
+    barycenter equals ``rho_1`` whenever ``rho_1`` lies in the hull of the
+    atoms, and is its projection onto that hull when it does not.  See
     :func:`~finetti.solvers.lead_first_lstsq`.  The input is rejected with
     :class:`NotExchangeable` unless it passes
     :func:`~finetti.exchange.check_exchangeable` at the sequence tolerance;
@@ -352,7 +350,7 @@ def reconstruct(
             raise NotExchangeable(report)
     ctx = atoms.context(seq.depth)
     target, off = symmetric.project(ctx.tables, seq.levels)
-    w, residual = lead_first_lstsq(ctx.solve, target, start=start)
+    w, residual = lead_first_lstsq(ctx.solve, target)
     return Mixture(atoms, w), float(np.hypot(residual, off))
 
 

@@ -15,9 +15,9 @@ Bases may be single-block (full matrix algebra) or commutative (all-ones
 blocks); commutative levels are handled as probability/value vectors over
 tuples in lexicographic order, which matches the kron convention used on the
 quantum side.  One check on packed levels serves quantum towers, classical
-measures and cone laws: per level, the trace-norm distance to the slot twirl
-(the average over S_n, the projection onto the permutation invariants) and
-the distance to the restrictions of the levels above.
+measures and cone laws: per level, one stacked trace-norm call gives the
+distance to the slot twirl (the average over S_n, the projection onto the
+permutation invariants) and to the restriction of every level above.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .cstar import Algebra, Element, StateVec, trace_norm, trace_norms
+from .cstar import Algebra, Element, StateVec, trace_norms
 
 DEFAULT_SEQ_TOL = 1e-9
 
@@ -317,16 +317,6 @@ class ExchangeReport:
         return max(max(lv.symmetry_bound, lv.consistency) for lv in self.levels)
 
 
-def worst_gap(gaps) -> tuple[float, object]:
-    """The largest gap in ``(key, gap)`` pairs and its key; ``(0.0, None)``
-    when no gap is positive."""
-    worst, key = 0.0, None
-    for k, gap in gaps:
-        if gap > worst:
-            worst, key = gap, k
-    return worst, key
-
-
 def check_exchangeable(seq: ExchSeq) -> ExchangeReport:
     """Verify symmetry and marginal consistency of a sequence.
 
@@ -341,15 +331,9 @@ def check_exchangeable(seq: ExchSeq) -> ExchangeReport:
     return _check_levels(seq.levels, _slot_count(seq.base), seq.tolerance)
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace norm of ``a - b``: l1 for packed vectors (diagonals)."""
-    if a.ndim == 2:
-        return trace_norm(a - b)
-    return float(np.abs(a - b).sum())
-
-
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_distance` of each pair of packed levels in two stacks."""
+    """Trace norm of ``a - b`` for each pair of packed levels in two stacks
+    (broadcast): l1 for packed vectors (diagonals)."""
     if a.ndim == 3:
         return trace_norms(a - b)
     return np.abs(a - b).sum(axis=1)
@@ -361,10 +345,11 @@ def _check_levels(levels, d: int, tolerance: float) -> ExchangeReport:
     one.  Every exchangeability verdict in the package comes from here."""
     reports = []
     for n, rho in enumerate(levels, start=1):
-        sym = _distance(rho, _twirl(rho, d, n)) if n > 1 else 0.0
-        cons, worst_m = worst_gap(
-            (m, _distance(rho, _restrict(levels[m - 1], d, n)))
-            for m in range(n + 1, len(levels) + 1)
-        )
-        reports.append(LevelReport(n, sym, cons, worst_m))
+        # Row 0 is the twirl (rho itself at level 1); row j >= 1 is the
+        # restriction of level n + j.
+        rows = [_twirl(rho, d, n)] + [_restrict(lv, d, n) for lv in levels[n:]]
+        gaps = _distances(rho[None], np.stack(rows))
+        j = 1 + int(np.argmax(gaps[1:])) if n < len(levels) else 0
+        cons, worst_m = (float(gaps[j]), n + j) if j and gaps[j] > 0 else (0.0, None)
+        reports.append(LevelReport(n, float(gaps[0]), cons, worst_m))
     return ExchangeReport(tolerance, tuple(reports))

@@ -23,7 +23,14 @@ from .cpmaps import (
     is_unital,
 )
 from .cstar import Algebra, StateVec, make_state
-from .definetti import AtomSet, Cone, MediatingMap, Mixture, UniquenessReport
+from .definetti import (
+    AtomSet,
+    Cone,
+    MediatingMap,
+    Mixture,
+    UniquenessReport,
+    explicit_atoms,
+)
 from .exchange import ExchSeq, ExchangeReport
 
 
@@ -283,8 +290,6 @@ def encode_atoms(atoms: AtomSet) -> dict:
 
 
 def decode_atoms(doc, path: str = "atoms") -> AtomSet:
-    from .definetti import explicit_atoms
-
     if isinstance(doc, dict) and "grid" in doc:
         space, grid = _require(doc, "space", path), doc["grid"]
         if not isinstance(space, list) or len(space) < 2:

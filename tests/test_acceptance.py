@@ -26,7 +26,7 @@ from finetti.cpmaps import (
     identity_map,
     is_completely_positive,
 )
-from finetti.cstar import Algebra, Element, make_state, state_distance, trace_norm
+from finetti.cstar import Algebra, Element, StateVec, make_state, state_distance, trace_norm
 from finetti.definetti import (
     Cone,
     Mixture,
@@ -319,11 +319,7 @@ def test_c6_relabeling_functoriality():
 
         sigma = tuple(int(x) for x in rng.permutation(n))
         bij = eta_tau(a, QUBIT, sigma, n)
-        perm = eta_sigma(
-            make_state(power_algebra(QUBIT, n), (a.mats[0],), validate=False),
-            QUBIT,
-            sigma,
-        )
+        perm = eta_sigma(StateVec(power_algebra(QUBIT, n), (a.mats[0],)), QUBIT, sigma)
         exact &= np.array_equal(bij.mats[0], perm.dens[0])
 
     ok = worst <= 1e-12 and exact

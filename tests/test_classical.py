@@ -14,7 +14,6 @@ from finetti.classical import (
     encode_space,
     flatten,
     hs_reconstruct,
-    iid_measures,
     kleisli_compose,
     product_measure,
     pushforward,
@@ -195,7 +194,7 @@ def test_pushforward_along_a_coordinate_selection_of_a_product_is_a_product():
 
 def test_iid_measures_and_exchangeability():
     mu = FinDist(["H", "T"], np.array([0.3, 0.7]))
-    seq = iid_measures(mu, 4)
+    seq = synthesize_measures([mu], [1.0], 4)
     report = check_exchangeable_measures(seq)
     assert report.ok
     assert report.max_violation < 1e-14
@@ -271,7 +270,7 @@ def test_hs_reconstruct_fits_level_1_first():
     # weights to (2/3, 1/3), which the higher levels cannot pull away from.
     # The operator-algebra route on the encoded data agrees.
     grid = coin_grid((0.2, 0.8))
-    seq = iid_measures(bernoulli(COIN_SPACE, 0.4), 3)
+    seq = synthesize_measures([bernoulli(COIN_SPACE, 0.4)], [1.0], 3)
     w, residual = hs_reconstruct(seq, grid)
     assert np.max(np.abs(w - [2 / 3, 1 / 3])) < 1e-12
     assert residual > 0.05
@@ -287,6 +286,16 @@ def test_hs_reconstruct_rejects_non_exchangeable():
     seq = ClassicalExchSeq(["H", "T"], 2, (mu, ordered), 1e-9)
     with pytest.raises(NotExchangeable):
         hs_reconstruct(seq, coin_grid())
+
+
+def test_coin_grid_with_biases_closer_than_the_distinctness_tolerance_is_refused():
+    # A grid is an atom set: two biases within DISTINCT_TOL of each other are
+    # refused by name, as reconstruct and --atoms refuse them.
+    grid = coin_grid((0.0, 0.3, 0.3 + 1e-7, 1.0))
+    with pytest.raises(ValueError, match="atoms 1 and 2 are not distinct"):
+        hs_reconstruct(coin_sequence(depth=3), grid)
+    with pytest.raises(ValueError, match="atoms 1 and 2 are not distinct"):
+        classical_moment_rank(grid, 3)
 
 
 def test_encode_space_and_dist():

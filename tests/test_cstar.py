@@ -3,6 +3,7 @@ import pytest
 
 from finetti.cstar import (
     Algebra,
+    StateVec,
     blocks_to_dense,
     dense_to_blocks,
     element_to_dense,
@@ -138,8 +139,8 @@ def test_make_state_rejects_bad_inputs():
         make_state(alg, (np.diag([1.5, -0.5]),))
     with pytest.raises(ValueError, match="Hermitian"):
         make_state(alg, (np.array([[0.5, 1.0], [0.0, 0.5]]),))
-    # validate=False lets callers hold intermediate data.
-    s = make_state(alg, (np.diag([1.5, -0.5]),), validate=False)
+    # A bare StateVec holds intermediate data unchecked.
+    s = StateVec(alg, (np.diag([1.5, -0.5]),))
     assert s.dens[0][0, 0] == 1.5
 
 

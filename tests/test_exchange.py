@@ -11,9 +11,8 @@ from finetti.classical import (
     check_exchangeable_measures,
     tuple_space,
 )
-from finetti.cstar import Algebra, Element, eval_state, make_state
+from finetti.cstar import Algebra, Element, StateVec, eval_state, make_state
 from finetti.exchange import (
-    _distance,
     _distances,
     _pack,
     _permute_axes,
@@ -231,7 +230,7 @@ def test_eta_tau_reduces_to_eta_sigma_on_bijections():
     sigma = (2, 0, 1)
     elem_route = eta_tau(a, QUBIT, sigma, 3)
     state_route = eta_sigma(
-        make_state(power_algebra(QUBIT, 3), (a.mats[0],), validate=False), QUBIT, sigma
+        StateVec(power_algebra(QUBIT, 3), (a.mats[0],)), QUBIT, sigma
     )
     assert np.array_equal(elem_route.mats[0], state_route.dens[0])
 
@@ -321,20 +320,22 @@ def test_oracle_pullback_matches_pullback_state():
 
 
 def test_check_exchangeable_takes_one_trace_norm_per_level_and_source(monkeypatch):
-    # One twirl distance for each level n >= 2, one consistency distance for
-    # each pair n < m, and no slot permutation.
+    # One stacked distance call per level n: its rows are the twirl and the
+    # restriction of every level m > n.  No slot permutation.
     import finetti.exchange as exchange
 
     calls = []
-    for name in ("_distance", "_permute_axes"):
+    for name in ("_distances", "_permute_axes"):
         real = getattr(exchange, name)
         monkeypatch.setattr(
-            exchange, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            exchange,
+            name,
+            lambda *a, real=real, name=name: calls.append((name, a[-1].shape)) or real(*a),
         )
     rho = random_density(2, np.random.default_rng(17))
     report = check_exchangeable(iid_extend(make_state(QUBIT, (rho,)), 7))
     assert report.ok
-    assert calls == ["_distance"] * (6 + 21)
+    assert calls == [("_distances", (1 + 7 - n, 2**n, 2**n)) for n in range(1, 8)]
 
 
 @pytest.mark.parametrize("base", [QUBIT, Algebra((3,)), C3], ids=["qubit", "qutrit", "classical"])
@@ -548,7 +549,7 @@ def test_verdict_is_no_looser_than_the_exhaustive_one_on_every_fixture():
 def test_stacked_distances_match_the_pairwise_ones():
     # Hermitian gaps go through one stacked eigensolve, others through the
     # singular values, and packed vectors through the l1 norm: each entry is
-    # the per-pair distance.
+    # the pair's sum of singular values, or its l1 distance.
     rng = np.random.default_rng(21)
     g = rng.standard_normal((6, 8, 8)) + 1j * rng.standard_normal((6, 8, 8))
     a = g + g.conj().swapaxes(1, 2)
@@ -558,4 +559,8 @@ def test_stacked_distances_match_the_pairwise_ones():
     for x, y in ((a, b), (a[[1, 4]], b[:2]), (a[[0, 2]], b[:2]), (vecs, vecs[::-1])):
         got = _distances(x, y)
         assert got.shape == (len(x),)
-        assert np.abs(got - [_distance(p, q) for p, q in zip(x, y)]).max() <= 1e-13
+        if x.ndim == 3:
+            want = [np.linalg.svd(p - q, compute_uv=False).sum() for p, q in zip(x, y)]
+        else:
+            want = [np.abs(p - q).sum() for p, q in zip(x, y)]
+        assert np.abs(got - want).max() <= 1e-13
