@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cstar import Algebra, StateVec
-from .definetti import AtomSet, explicit_atoms, reconstruct
+from .definetti import AtomSet, reconstruct
 from .exchange import ExchSeq, ExchangeReport, check_exchangeable
 
 PROB_TOL = 1e-9
@@ -203,12 +203,18 @@ def encode_space(space) -> Algebra:
 
 
 def encode_dist(dist: FinDist) -> StateVec:
-    return StateVec(encode_space(dist.space), [np.array([[p]]) for p in dist.probs])
+    return _encode_on(encode_space(dist.space), dist)
+
+
+def _encode_on(base: Algebra, dist: FinDist) -> StateVec:
+    return StateVec(base, [np.array([[p]]) for p in dist.probs])
 
 
 def grid_atoms(grid: list[FinDist]) -> AtomSet:
-    """A grid of measures on one space as the atom set of their encodings."""
-    return explicit_atoms(map(encode_dist, grid))
+    """A grid of measures on one space as the atom set of their encodings,
+    all on the algebra of the first measure's space."""
+    base = encode_space(grid[0].space)
+    return AtomSet(base, [_encode_on(base, g) for g in grid])
 
 
 def encode_seq(seq: ClassicalExchSeq) -> ExchSeq:

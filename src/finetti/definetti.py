@@ -3,8 +3,7 @@
 The pieces:
 
 * :class:`AtomSet` -- a finite dictionary of candidate level-1 states, with
-  its moment design and, per depth, the :class:`FitContext` every fit over
-  it reads;
+  its moment design and, per depth, that design prepared for the solver;
 * :func:`synthesize` -- turn a weighted atom set into the exchangeable
   sequence ``rho_n = sum_k w_k sigma_k^(x n)``;
 * :func:`reconstruct` -- invert that: simplex-constrained least squares,
@@ -107,22 +106,6 @@ def random_mixed_state(d: int, rng: np.random.Generator) -> StateVec:
     return StateVec(Algebra((d,)), [rho / np.trace(rho).real])
 
 
-class FitContext(NamedTuple):
-    """What every fit over an atom set at one depth reads, read-only (see
-    :meth:`AtomSet.context`): the slot map and orbit tables of levels
-    ``1..depth`` (``tables``) and the design prepared for the level-1-first
-    solve (``solve``), whose design is an atom-major view of the atom set's
-    store."""
-
-    tables: symmetric.Tables
-    solve: LeadFit
-
-    @property
-    def design(self) -> np.ndarray:
-        """The moment design, as :meth:`AtomSet.design` serves it."""
-        return self.solve.second.a
-
-
 @dataclass(frozen=True)
 class AtomSet:
     """Pairwise-distinct candidate states on a common base algebra.
@@ -130,7 +113,7 @@ class AtomSet:
     An atom set owns its moment design (see :meth:`design`): levels are built
     for all atoms at once when first asked for, kept, and served to every
     later call, so the design of a dictionary is built once however many
-    sequences are fitted over it.  So is what a fit reads besides the design
+    sequences are fitted over it.  So is the design prepared for the solver
     (:meth:`context`).  The atoms are a tuple, the instance is frozen and the
     stored arrays are read-only, so the store cannot go stale.
     """
@@ -222,14 +205,13 @@ class AtomSet:
             self._ranks[depth] = int(np.linalg.matrix_rank(self.design(depth)))
         return self._ranks[depth]
 
-    def context(self, depth: int) -> FitContext:
-        """The :class:`FitContext` of fits up to ``depth``, memoized until a
-        deeper :meth:`design` replaces the store it views."""
+    def context(self, depth: int) -> LeadFit:
+        """The design up to ``depth`` prepared for the level-1-first solve
+        (:class:`~finetti.solvers.LeadFit`, whose design is an atom-major
+        view of the store), memoized until a deeper :meth:`design` replaces
+        the store it views."""
         if depth not in self._contexts:
-            self._contexts[depth] = FitContext(
-                symmetric.Tables.build(self.base, depth),
-                LeadFit.build(self.design(depth), slice(0, self.base.dim)),
-            )
+            self._contexts[depth] = LeadFit.build(self.design(depth), slice(0, self.base.dim))
         return self._contexts[depth]
 
 
@@ -277,9 +259,9 @@ class Mixture:
 
 def synthesize(mix: Mixture, depth: int, tolerance: float = SYNTH_TOL) -> ExchSeq:
     """The exchangeable sequence of a mixture: ``rho_n = sum_k w_k sigma_k^(x n)``."""
-    ctx = mix.atomset.context(depth)
-    levels = symmetric.unproject(ctx.tables, (ctx.design @ mix.weights)[None])
-    return ExchSeq(mix.atomset.base, tuple(level[0] for level in levels), tolerance)
+    base = mix.atomset.base
+    levels = symmetric.unproject(base, depth, (mix.atomset.design(depth) @ mix.weights)[None])
+    return ExchSeq(base, tuple(level[0] for level in levels), tolerance)
 
 
 # --- moment systems -----------------------------------------------------------
@@ -288,8 +270,7 @@ def moment_matrix(atoms: AtomSet, depth: int) -> np.ndarray:
     """Complex design matrix, read-only: column k stacks ``vec(sigma_k^(x n))``
     for n <= depth.  Expanded on demand from the atom set's symmetric design;
     no reconstruction needs it."""
-    ctx = atoms.context(depth)
-    levels = symmetric.unproject(ctx.tables, ctx.design.T)
+    levels = symmetric.unproject(atoms.base, depth, atoms.design(depth).T)
     out = np.concatenate([lv.reshape(len(atoms), -1) for lv in levels], axis=1).T
     out.setflags(write=False)
     return out
@@ -348,9 +329,8 @@ def reconstruct(
         report = check_exchangeable(seq)
         if not report.ok:
             raise NotExchangeable(report)
-    ctx = atoms.context(seq.depth)
-    target, off = symmetric.project(ctx.tables, seq.levels)
-    w, residual = lead_first_lstsq(ctx.solve, target)
+    target, off = symmetric.project(seq.base, seq.levels)
+    w, residual = lead_first_lstsq(atoms.context(seq.depth), target)
     return Mixture(atoms, w), float(np.hypot(residual, off))
 
 
@@ -439,21 +419,13 @@ class Cone:
             self._memo["report"] = ConeReport(self.tolerance, reports)
         return self._memo["report"]
 
-    def targets(self, tables: symmetric.Tables) -> tuple[np.ndarray, np.ndarray]:
+    def targets(self) -> tuple[np.ndarray, np.ndarray]:
         """Symmetric coordinates of the probe towers, one row per probe, and
         the norm of each tower's part off the symmetric subspace
-        (:func:`~finetti.symmetric.project`), memoized.  ``tables`` are the
-        tables of the cone's base at its depth, as the fit context of any
-        atom set on that base holds them; they depend on nothing else, so the
-        targets do not depend on which atom set lent them."""
-        if tables.base != self.base or len(tables.levels) != self.depth:
-            raise ValueError(
-                f"tables of {tables.base} at depth {len(tables.levels)}, "
-                f"cone is on {self.base} at depth {self.depth}"
-            )
+        (:func:`~finetti.symmetric.project`), memoized."""
         if "targets" not in self._memo:
             rows, offs = zip(
-                *(symmetric.project(tables, tower.levels) for tower in self.probes().towers)
+                *(symmetric.project(self.base, tower.levels) for tower in self.probes().towers)
             )
             rows, offs = np.stack(rows), np.array(offs)
             rows.setflags(write=False)
@@ -591,10 +563,9 @@ def mediating_map(
     if cone.base != atoms.base:
         raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
     probes = cone.probes()
-    ctx = atoms.context(cone.depth)
     # Cone laws already certify exchangeability of the probe sequences.
-    targets, offs = cone.targets(ctx.tables)
-    weights, fits = lead_first_lstsq(ctx.solve, targets)
+    targets, offs = cone.targets()
+    weights, fits = lead_first_lstsq(atoms.context(cone.depth), targets)
     residuals = np.hypot(fits, offs)
     for idx, res in enumerate(residuals):
         if res > max_residual:
@@ -609,8 +580,8 @@ def factorization_error(cone: Cone, med: MediatingMap) -> float:
     gaps from one stacked norm over the probes."""
     if med.apex != cone.apex:
         raise ValueError(f"mediating map on apex {med.apex}, cone apex is {cone.apex}")
-    ctx = med.atomset.context(cone.depth)
-    synth = symmetric.unproject(ctx.tables, med.weights @ ctx.design.T)
+    design = med.atomset.design(cone.depth)
+    synth = symmetric.unproject(med.atomset.base, cone.depth, med.weights @ design.T)
     towers = cone.probes().towers
     worst = 0.0
     for n, want in enumerate(synth):
@@ -665,15 +636,15 @@ def uniqueness_check(
         raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
     rng = np.random.default_rng(seed)
     rank = moment_rank(atoms, cone.depth)
-    ctx = atoms.context(cone.depth)
-    targets, _ = cone.targets(ctx.tables)
+    targets, _ = cone.targets()
     n_probes, k = len(targets), len(atoms)
     face = min(atoms.base.dim, k)
     starts = np.zeros((n_probes * trials, k))
     for start in starts:
         start[rng.choice(k, face, replace=False)] = rng.dirichlet(np.ones(face))
-    sols, _ = lead_first_lstsq(ctx.solve, np.repeat(targets, trials, axis=0), start=starts)
-    levels = symmetric.unproject(ctx.tables, sols @ ctx.design.T)
+    b = np.repeat(targets, trials, axis=0)
+    sols, _ = lead_first_lstsq(atoms.context(cone.depth), b, start=starts)
+    levels = symmetric.unproject(atoms.base, cone.depth, sols @ atoms.design(cone.depth).T)
     i, j = np.triu_indices(trials, 1)
 
     def spread(rows: np.ndarray) -> float:

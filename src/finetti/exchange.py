@@ -17,16 +17,18 @@ tuples in lexicographic order, which matches the kron convention used on the
 quantum side.  One check on packed levels serves quantum towers, classical
 measures and cone laws: per level, one stacked trace-norm call gives the
 distance to the slot twirl (the average over S_n, the projection onto the
-permutation invariants) and to the restriction of every level above.
+permutation invariants) and to the restriction of every level above.  The
+twirl is the mean over the S_n orbits of the level's slot-index tuples,
+read from the orbit tables of :mod:`finetti.symmetric`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 
+from . import symmetric
 from .cstar import Algebra, Element, StateVec, trace_norms
 
 DEFAULT_SEQ_TOL = 1e-9
@@ -193,27 +195,25 @@ def pullback_state(s: StateVec, base: Algebra, tau, n: int) -> StateVec:
 def _twirl(arr: np.ndarray, d: int, n: int) -> np.ndarray:
     """The average of a packed level over all n! permutations of its slots.
 
-    A slot of a matrix holds its row and its column index, so the matrix is
-    reshaped to n axes of size ``d**2`` (a vector to n axes of size ``d``).
-    The recursion ``S_k = (1/k) sum_{i <= k} swap(i, k) S_{k-1}`` then takes
-    n(n-1)/2 swap-and-add steps; the factor 1/n! is applied once at the end.
+    Every permutation of a slot-index tuple lies in its S_n orbit, and each
+    orbit member is hit equally often, so the average is the mean of each
+    entry's orbit (:func:`~finetti.symmetric.orbits`).  A slot of a matrix
+    holds its row and its column index, so the matrix is read as n slot
+    indices below ``d**2`` (a vector as n indices below ``d``).
     """
     if arr.ndim == 2:
-        pairs = sum(zip(range(n), range(n, 2 * n)), ())  # row i next to column i
-        t = arr.reshape((d,) * (2 * n)).transpose(pairs)
-        q = d * d
+        axes = symmetric._interleave(n)
+        t, q = arr.reshape((d,) * (2 * n)).transpose(axes).ravel(), d * d
     else:
         t, q = arr, d
-    for k in range(1, n):
-        # The slots past k take no part in this step: one trailing axis holds them.
-        t = t.reshape((q,) * (k + 1) + (-1,))
-        acc = t + t.swapaxes(0, k)
-        for i in range(1, k):
-            acc += t.swapaxes(i, k)
-        t = acc
+    orbit, sizes, _ = symmetric.orbits(q, n)
+    means = np.bincount(orbit, weights=t.real) / sizes
+    if np.iscomplexobj(t):
+        means = means + 1j * (np.bincount(orbit, weights=t.imag) / sizes)
+    out = means[orbit]
     if arr.ndim == 2:
-        t = t.reshape((d,) * (2 * n)).transpose(np.argsort(pairs))
-    return t.reshape(arr.shape) / factorial(n)
+        out = out.reshape((d,) * (2 * n)).transpose(np.argsort(axes))
+    return out.reshape(arr.shape)
 
 
 # --- exchangeable sequences --------------------------------------------------

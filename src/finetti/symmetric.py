@@ -23,32 +23,34 @@ Diaconis & Freedman, "Finite exchangeable sequences", 1980).  In them
   these coordinates plus ``||C - orbit means of C||^2``, the part of
   ``rho_n`` off the symmetric subspace, which no mixture can reach.
 
-:func:`project` and :func:`unproject` read the slot map and orbit tables of
-a base from a :class:`Tables`, built once per base and depth by whoever fits
-many towers over them.
+The slot map of a base (:func:`slot_map`) and the orbit tables of each
+``(q, n)`` (:func:`orbits`) are built once per process, read-only, and are
+the only source of orbit data in the package: the slot twirl of
+:mod:`finetti.exchange` is the orbit mean of the same tables.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cache
 
 import numpy as np
 
-from .cstar import Algebra, Element, dense_to_blocks, hermitian_basis
-from .exchange import _base_kind, _pack
+from .cstar import Algebra, hermitian_basis
 
 
+@cache
 def slot_map(base: Algebra) -> np.ndarray:
-    """The ``(q, s)`` matrix taking a packed level-1 element (``s`` entries)
-    to its coefficients ``tr(H_a x)``.  It is unitary: ``s = q``."""
-    return np.stack(
-        [
-            _pack(base, Element(base, dense_to_blocks(base, h))).ravel().conj()
-            for h in hermitian_basis(base)
-        ]
-    )
+    """The ``(q, s)`` matrix taking a packed level-1 element (``s`` entries:
+    the matrix of a single-block base, the block values of a commutative one)
+    to its coefficients ``tr(H_a x)``.  It is unitary: ``s = q``.  Memoized
+    per base, read-only."""
+    pack = np.diagonal if base.is_commutative else np.ravel
+    u = np.stack([pack(h).conj() for h in hermitian_basis(base)])
+    u.setflags(write=False)
+    return u
 
 
+@cache
 def orbits(q: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orbits of the index tuples of a ``(q,) * n`` tensor under slot
     permutations, one per multiset of n indices below q.
@@ -56,7 +58,8 @@ def orbits(q: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(orbit, sizes, members)``: ``orbit[i]`` is the orbit of flat
     index ``i``; ``sizes`` are the orbit sizes ``multinomial(n; m)``;
     ``members`` holds each orbit's sorted index tuple, ``(R, n)``.  Orbits
-    come in the lexicographic order of those tuples.
+    come in the lexicographic order of those tuples.  Memoized per
+    ``(q, n)`` for the life of the process; the arrays are read-only.
     """
     shape = (q,) * n
     # An orbit is named by its sorted tuple, read as a flat index.
@@ -64,27 +67,15 @@ def orbits(q: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys = np.ravel_multi_index(np.sort(digits, axis=0), shape)
     named = np.zeros(q**n, dtype=bool)
     named[keys] = True
-    orbit = (np.cumsum(named) - 1)[keys]
+    # The tables live as long as the process, so the orbit numbers take the
+    # smallest integer type that holds them.
+    count = np.count_nonzero(named)
+    orbit = (np.cumsum(named) - 1).astype(np.min_scalar_type(count - 1))[keys]
     members = np.stack(np.unravel_index(np.flatnonzero(named), shape), axis=1)
-    return orbit, np.bincount(orbit), members
-
-
-class Tables(NamedTuple):
-    """The slot map of ``base`` (:func:`slot_map`) and the orbit tables
-    ``(orbit, sizes)`` of levels ``1..depth`` (:func:`orbits`), read-only."""
-
-    base: Algebra
-    slots: np.ndarray
-    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def build(cls, base: Algebra, depth: int) -> "Tables":
-        """The tables of ``base`` up to ``depth``."""
-        levels = tuple(orbits(base.dim, n)[:2] for n in range(1, depth + 1))
-        slots = slot_map(base)
-        for arr in (slots, *(a for level in levels for a in level)):
-            arr.setflags(write=False)
-        return cls(base, slots, levels)
+    tables = orbit, np.bincount(orbit), members
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def iid_level(coords: np.ndarray, n: int) -> np.ndarray:
@@ -110,19 +101,19 @@ def _interleave(n: int) -> list[int]:
     return [a for slot in range(n) for a in (slot, n + slot)]
 
 
-def project(tables: Tables, levels) -> tuple[np.ndarray, float]:
-    """Symmetric coordinates of packed levels ``1..N``, N the depth of
-    ``tables``, level by level, and the Frobenius norm of the levels' part
-    off the symmetric subspace: the distance of each coefficient tensor from
-    its orbit means of the real part, which also carries any anti-Hermitian
+def project(base: Algebra, levels) -> tuple[np.ndarray, float]:
+    """Symmetric coordinates of the packed levels ``1..N`` of a tower over
+    ``base``, level by level, and the Frobenius norm of the levels' part off
+    the symmetric subspace: the distance of each coefficient tensor from its
+    orbit means of the real part, which also carries any anti-Hermitian
     part."""
-    u = tables.slots
+    u = slot_map(base)
     q = len(u)
-    quantum = _base_kind(tables.base) == "quantum"
     parts, off = [], 0.0
-    for (n, arr), (orbit, sizes) in zip(enumerate(levels, 1), tables.levels, strict=True):
-        if quantum:
-            d = tables.base.blocks[0]
+    for n, arr in enumerate(levels, start=1):
+        orbit, sizes, _ = orbits(q, n)
+        if not base.is_commutative:
+            d = base.blocks[0]
             arr = arr.reshape((d,) * (2 * n)).transpose(_interleave(n))
         c = arr.reshape(q, -1)
         for _ in range(n):  # each step maps the leading slot, moved to the end
@@ -134,22 +125,22 @@ def project(tables: Tables, levels) -> tuple[np.ndarray, float]:
     return np.concatenate(parts), float(off)
 
 
-def unproject(tables: Tables, coords: np.ndarray) -> list[np.ndarray]:
-    """Packed levels ``1..N``, N the depth of ``tables``, with the symmetric
-    coordinates ``coords``: for a ``(k, rows)`` array, one ``(k, ...)``
-    stack per level."""
-    u = tables.slots.conj()
+def unproject(base: Algebra, depth: int, coords: np.ndarray) -> list[np.ndarray]:
+    """Packed levels ``1..depth`` of a tower over ``base`` with the
+    symmetric coordinates ``coords``: for a ``(k, rows)`` array, one
+    ``(k, ...)`` stack per level."""
+    u = slot_map(base).conj()
     q, k, at = len(u), len(coords), 0
-    quantum = _base_kind(tables.base) == "quantum"
     out = []
-    for n, (orbit, sizes) in enumerate(tables.levels, start=1):
+    for n in range(1, depth + 1):
+        orbit, sizes, _ = orbits(q, n)
         y = coords[:, at : at + len(sizes)] / np.sqrt(sizes)
         at += len(sizes)
         t = y[:, orbit]
         for _ in range(n):  # each step maps the leading slot, moved to the end
             t = t.reshape(k, q, q ** (n - 1)).transpose(0, 2, 1) @ u
-        if quantum:
-            d = tables.base.blocks[0]
+        if not base.is_commutative:
+            d = base.blocks[0]
             back = np.argsort(_interleave(n)) + 1
             t = t.reshape((k,) + (d,) * (2 * n)).transpose([0, *back])
             out.append(t.reshape(k, d**n, d**n))

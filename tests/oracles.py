@@ -208,3 +208,12 @@ def kron_moment_matrix(columns, depth: int) -> np.ndarray:
             cur = np.kron(cur, a)
         cols.append(np.concatenate(chunks))
     return np.stack(cols, axis=1)
+
+
+def kron_residual(columns, levels, weights) -> float:
+    """``sqrt(sum_n ||rho_n - sum_k w_k a_k^(x n)||_F^2)`` on raw arrays: the
+    stacked levels ``rho_1 .. rho_N`` against :func:`kron_moment_matrix` of
+    ``columns`` at ``weights``."""
+    design = kron_moment_matrix(columns, len(levels))
+    target = np.concatenate([np.ravel(lv) for lv in levels])
+    return float(np.linalg.norm(design @ weights - target))

@@ -41,7 +41,13 @@ from finetti.classical import (
     hs_reconstruct,
     tuple_space,
 )
-from finetti.exchange import check_exchangeable, eta_sigma, make_exch_seq, power_algebra
+from finetti.exchange import (
+    check_exchangeable,
+    eta_sigma,
+    iid_extend,
+    make_exch_seq,
+    power_algebra,
+)
 from finetti.cpmaps import SCHRODINGER, choi_from_function
 from finetti.fixtures import (
     COIN_SPACE,
@@ -861,23 +867,42 @@ def test_mediating_map_builds_the_design_once_for_all_probes(monkeypatch):
     assert builds == [(4,), (10,), (20,)]
 
 
+def _table_misses() -> tuple[int, int]:
+    """Builds so far of the process-wide orbit tables and slot maps."""
+    return symmetric.orbits.cache_info().misses, symmetric.slot_map.cache_info().misses
+
+
+def test_orbit_tables_and_slot_maps_are_built_once_and_read_only():
+    for q, n in [(2, 5), (4, 3), (6, 2)]:
+        tables = symmetric.orbits(q, n)
+        assert symmetric.orbits(q, n) is tables
+        for arr in tables:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+    for base in (QUBIT, Algebra((1, 1, 1))):
+        u = symmetric.slot_map(base)
+        assert symmetric.slot_map(Algebra(base.blocks)) is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
+
+
 def test_second_fit_over_an_atom_set_rebuilds_no_tables(monkeypatch):
-    # The slot map, orbit tables and stage-2 equality rows are built with the
-    # atom set's fit context, once: later fits at that depth only read them.
+    # The orbit tables and slot maps are built once per process, and the
+    # stage-2 equality rows once with the atom set's fit context: later fits
+    # at that depth only read them.
     import finetti.solvers as solvers
-    import finetti.symmetric as symmetric
 
     cone = measure_prepare_cone(3)
     atoms = circuit1_atoms()
     seq = circuit1_sequence(3)
     reconstruct(seq, atoms)
     mediating_map(cone, atoms)
+    misses = _table_misses()
     calls = []
-    for module, name in [(symmetric, "orbits"), (symmetric, "slot_map"), (solvers, "_row_basis")]:
-        real = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
-        )
+    real = solvers._row_basis
+    monkeypatch.setattr(solvers, "_row_basis", lambda c: calls.append(c.shape) or real(c))
     reconstruct(seq, atoms)
     med = mediating_map(cone, atoms)
     uniqueness_check(cone, atoms, trials=3)
@@ -885,25 +910,36 @@ def test_second_fit_over_an_atom_set_rebuilds_no_tables(monkeypatch):
     synthesize(med.mixture_for(med.probes[0]), 3)
     moment_matrix(atoms, 3)
     assert calls == []
-    reconstruct(seq, circuit1_atoms())  # a new atom set builds its own
-    assert {"orbits", "slot_map", "_row_basis"} <= set(calls)
+    reconstruct(seq, circuit1_atoms())  # a new atom set prepares its own fit
+    assert calls
+    assert _table_misses() == misses
+
+
+def test_second_classical_fit_and_quantum_check_build_no_tables():
+    grid = coin_grid(tuple(np.linspace(0.0, 1.0, 21)))
+    seq = coin_sequence(depth=10)
+    rho = qubit_state(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    tower = iid_extend(rho, 7)
+    first = hs_reconstruct(seq, grid), check_exchangeable(tower)
+    misses = _table_misses()
+    second = hs_reconstruct(seq, grid), check_exchangeable(tower)
+    assert _table_misses() == misses
+    assert np.array_equal(first[0][0], second[0][0]) and first[1] == second[1]
 
 
 def test_fit_context_is_read_only_and_views_the_store():
     atoms = default_atoms(2, 12, seed=5)
     atoms.design(4)
-    ctx = atoms.context(3)
-    assert atoms.context(3) is ctx
-    solve = ctx.solve
-    arrays = [ctx.tables.slots, *(a for level in ctx.tables.levels for a in level)]
-    arrays += [solve.first.at, solve.first.ct, solve.second.at, solve.second.ct]
+    fit = atoms.context(3)
+    assert atoms.context(3) is fit
+    arrays = [fit.first.at, fit.first.ct, fit.second.at, fit.second.ct]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
     # The solver gathers passive columns as rows of the store itself.
-    assert np.shares_memory(solve.second.at, atoms._moments)
-    assert np.array_equal(ctx.design, atoms.design(3))
+    assert np.shares_memory(fit.second.at, atoms._moments)
+    assert np.array_equal(fit.second.a, atoms.design(3))
     with pytest.raises(AttributeError):
         atoms._contexts = {}
 
@@ -915,7 +951,7 @@ def test_deeper_design_frees_the_store_a_context_viewed():
     deep = atoms.design(5)
     gc.collect()
     assert store() is None
-    assert np.shares_memory(atoms.context(3).design, deep)
+    assert np.shares_memory(atoms.context(3).second.a, deep)
 
 
 def test_factorization_error_matches_per_probe_synthesis():
@@ -966,8 +1002,7 @@ def test_spreads_are_the_largest_gaps_over_all_pairs_of_restarts(monkeypatch):
         sols = drawn[-1].reshape(-1, trials, len(atoms))
         i, j = np.triu_indices(trials, 1)
         gaps = (sols[:, i] - sols[:, j]).reshape(-1, len(atoms))
-        ctx = atoms.context(cone.depth)
-        levels = symmetric.unproject(ctx.tables, gaps @ ctx.design.T)
+        levels = symmetric.unproject(atoms.base, cone.depth, gaps @ atoms.design(cone.depth).T)
         assert report.max_weight_spread == np.abs(gaps).max()
         ref = max(np.abs(lv).max() for lv in levels)
         assert ref > 1e-3
@@ -1018,13 +1053,9 @@ def test_factor_pipeline_builds_each_probe_tower_once(monkeypatch):
 )
 def test_cone_memo_is_its_towers_and_read_only(make):
     cone = make()
-    tables = symmetric.Tables.build(cone.base, cone.depth)
-    probes, report, (targets, offs) = cone.probes(), cone.report(), cone.targets(tables)
+    probes, report, (targets, offs) = cone.probes(), cone.report(), cone.targets()
     assert cone.probes() is probes and cone.report() is report
-    assert cone.targets(symmetric.Tables.build(cone.base, cone.depth))[0] is targets
-    for depth in (cone.depth - 1, cone.depth + 1):
-        with pytest.raises(ValueError, match="tables of"):
-            cone.targets(symmetric.Tables.build(cone.base, depth))
+    assert cone.targets()[0] is targets
     states, basis = probe_states(cone.apex)
     assert np.array_equal(probes.basis, basis)
     fresh = []
@@ -1032,7 +1063,7 @@ def test_cone_memo_is_its_towers_and_read_only(make):
         ref = cone.sequence(kappa)
         fresh.append(check_exchangeable(ref))
         assert all(np.array_equal(a, b) for a, b in zip(tower.levels, ref.levels, strict=True))
-        target, off = symmetric.project(tables, ref.levels)
+        target, off = symmetric.project(cone.base, ref.levels)
         assert np.array_equal(targets[i], target)
         assert offs[i] == off
     assert report == ConeReport(cone.tolerance, tuple(fresh))

@@ -338,12 +338,33 @@ def test_check_exchangeable_takes_one_trace_norm_per_level_and_source(monkeypatc
     assert calls == [("_distances", (1 + 7 - n, 2**n, 2**n)) for n in range(1, 8)]
 
 
-@pytest.mark.parametrize("base", [QUBIT, Algebra((3,)), C3], ids=["qubit", "qutrit", "classical"])
-def test_twirl_is_the_idempotent_average_over_permutations(base):
+def packed_state(base, n, rng):
+    return _pack(base, random_level(base, n, rng))
+
+
+def non_hermitian_level(base, n, rng):
+    """A complex matrix with independent real and imaginary parts, no state:
+    the twirl is linear, and neither part determines the other."""
+    size = base.blocks[0] ** n
+    return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
+
+@pytest.mark.parametrize(
+    "base, draw",
+    [
+        (QUBIT, packed_state),
+        (Algebra((3,)), packed_state),
+        (C3, packed_state),
+        (Algebra((1,) * 6), packed_state),
+        (QUBIT, non_hermitian_level),
+    ],
+    ids=["qubit", "qutrit", "classical", "6-point", "qubit-non-hermitian"],
+)
+def test_twirl_is_the_idempotent_average_over_permutations(base, draw):
     rng = np.random.default_rng(19)
     d = _slot_count(base)
     for n in range(1, 6):
-        rho = _pack(base, random_level(base, n, rng))
+        rho = draw(base, n, rng)
         twirled = _twirl(rho, d, n)
         assert np.allclose(_twirl(twirled, d, n), twirled, atol=1e-14)
         for i in range(n - 1):

@@ -255,8 +255,7 @@ def test_stacked_restarts_on_degenerate_atoms_reach_the_single_optimum():
     cone = measure_prepare_cone(3)
     probes, _ = probe_states(cone.apex)
     a = atoms.design(3)
-    tables = symmetric.Tables.build(QUBIT, 3)
-    targets = np.stack([symmetric.project(tables, cone.sequence(p).levels)[0] for p in probes])
+    targets = np.stack([symmetric.project(QUBIT, cone.sequence(p).levels)[0] for p in probes])
     rng = np.random.default_rng(18)  # these starts set entrants aside
     b = np.repeat(targets, 5, axis=0)
     starts = _face_starts(rng, len(b), 50, 4)
@@ -273,7 +272,7 @@ def test_active_set_steps_take_two_svds_and_no_lstsq(monkeypatch):
     import finetti.solvers as solvers
 
     atoms = default_atoms(2, 50, seed=3)
-    fit = atoms.context(3).solve
+    fit = atoms.context(3)
     rng = np.random.default_rng(19)
     a = atoms.design(3)
     b = a @ rng.dirichlet(np.ones(50)) + 0.02 * rng.standard_normal(a.shape[0])
