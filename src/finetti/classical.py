@@ -9,7 +9,8 @@ A finite probability space is a commutative algebra, so exchangeable
 families and grids of biases are handled by the tower's own machinery:
 ``encode_seq`` makes a family an :class:`~finetti.exchange.ExchSeq` on the
 all-ones block algebra of its space, ``grid_atoms`` makes a grid an
-:class:`~finetti.definetti.AtomSet` there, and ``hs_reconstruct``,
+:class:`~finetti.definetti.AtomSet` there (the tower keeps no labels, so it
+reads each measure in the space's label order), and ``hs_reconstruct``,
 ``classical_moment_rank`` and ``check_exchangeable_measures`` are the
 tower's fit, design rank and check on them.  On that base the symmetric
 coordinates of :mod:`finetti.symmetric` are the type counts.
@@ -22,11 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cstar import Algebra, StateVec
+from .cstar import PROB_TOL, Algebra, StateVec, probability_vector
 from .definetti import AtomSet, reconstruct
 from .exchange import ExchSeq, ExchangeReport, check_exchangeable
-
-PROB_TOL = 1e-9
 
 
 @dataclass
@@ -38,20 +37,6 @@ class FinDist:
 
     def __post_init__(self) -> None:
         self.probs = probability_vector(self.probs, len(self.space))
-
-
-def probability_vector(probs, size: int) -> np.ndarray:
-    """``probs`` as a read-only float vector of ``size`` entries, checked
-    finite, nonnegative and summing to 1 (the last two within ``PROB_TOL``)."""
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (size,):
-        raise ValueError(f"{p.shape} probabilities for {size} labels")
-    if not np.isfinite(p).all():
-        raise ValueError("probabilities must be finite")
-    if p.min() < -PROB_TOL or abs(p.sum() - 1.0) > PROB_TOL:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
-    p.setflags(write=False)
-    return p
 
 
 def dirac(x, space) -> FinDist:
@@ -103,8 +88,8 @@ class Kernel:
             raise ValueError(
                 f"rows {r.shape} do not match {len(self.source)}x{len(self.target)}"
             )
-        if r.min() < -PROB_TOL or np.abs(r.sum(axis=1) - 1.0).max() > PROB_TOL:
-            raise ValueError("each row must be a probability vector")
+        for row in r:
+            probability_vector(row, len(self.target))
         r.setflags(write=False)
         self.rows = r
 
@@ -165,9 +150,11 @@ class ClassicalExchSeq:
 def synthesize_measures(
     grid: list[FinDist], weights, depth: int, tolerance: float = PROB_TOL
 ) -> ClassicalExchSeq:
-    """Mixture of iid products over a grid of biases."""
+    """Mixture of iid products over a grid of biases, read in the first's
+    label order."""
     w = np.asarray(weights, dtype=float)
     space = grid[0].space
+    grid = [FinDist(space, _in_order(mu, space)) for mu in grid]
     measures = []
     for n in range(1, depth + 1):
         p = sum(wk * product_measure(mu, n).probs for wk, mu in zip(w, grid))
@@ -189,9 +176,10 @@ def hs_reconstruct(
     seq: ClassicalExchSeq, grid: list[FinDist], *, check: bool = True
 ) -> tuple[np.ndarray, float]:
     """Recover a mixing measure over ``grid`` from an exchangeable family:
-    :func:`~finetti.definetti.reconstruct` on the encoded family and grid.
-    Returns the weights and the residual over all levels."""
-    mix, residual = reconstruct(encode_seq(seq), grid_atoms(grid), check=check)
+    :func:`~finetti.definetti.reconstruct` on the encoded family and the grid
+    read in the family's label order.  Returns the weights and the residual
+    over all levels."""
+    mix, residual = reconstruct(encode_seq(seq), grid_atoms(grid, seq.space), check=check)
     return mix.weights, residual
 
 
@@ -202,19 +190,26 @@ def encode_space(space) -> Algebra:
     return Algebra((1,) * len(space))
 
 
-def encode_dist(dist: FinDist) -> StateVec:
-    return _encode_on(encode_space(dist.space), dist)
+def grid_atoms(grid: list[FinDist], space=None) -> AtomSet:
+    """A grid of measures as the atom set of their encodings on the algebra
+    of ``space`` (by default the first measure's labels), each measure read
+    in the label order of ``space``.  A measure whose labels are not a
+    reordering of ``space`` is refused."""
+    space = list(grid[0].space if space is None else space)
+    base = encode_space(space)
+    return AtomSet(
+        base, [StateVec(base, [np.array([[p]]) for p in _in_order(g, space)]) for g in grid]
+    )
 
 
-def _encode_on(base: Algebra, dist: FinDist) -> StateVec:
-    return StateVec(base, [np.array([[p]]) for p in dist.probs])
-
-
-def grid_atoms(grid: list[FinDist]) -> AtomSet:
-    """A grid of measures on one space as the atom set of their encodings,
-    all on the algebra of the first measure's space."""
-    base = encode_space(grid[0].space)
-    return AtomSet(base, [_encode_on(base, g) for g in grid])
+def _in_order(dist: FinDist, space: list) -> np.ndarray:
+    """The probabilities of ``dist`` in the label order of ``space``."""
+    if dist.space == space:
+        return dist.probs
+    order = [dist.space.index(x) if x in dist.space else -1 for x in space]
+    if sorted(order) != list(range(len(dist.space))):
+        raise ValueError(f"labels {dist.space} are not a reordering of {space}")
+    return dist.probs[order]
 
 
 def encode_seq(seq: ClassicalExchSeq) -> ExchSeq:

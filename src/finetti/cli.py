@@ -103,11 +103,12 @@ def _atom_count(args, least: int) -> int:
     return args.atom_count
 
 
-def _load_atoms(args, base) -> AtomSet:
-    """The ``--atoms`` dictionary, else a default one on ``base``: seeded
-    random states on a matrix block, evenly spaced biases on two points."""
+def _load_atoms(args, base, space=None) -> AtomSet:
+    """The ``--atoms`` dictionary, a grid read in the label order of
+    ``space`` when given, else a default one on ``base``: seeded random
+    states on a matrix block, evenly spaced biases on two points."""
     if args.atoms:
-        atoms = serialize.decode_atoms(serialize.load_document(args.atoms), args.atoms)
+        atoms = serialize.decode_atoms(serialize.load_document(args.atoms), args.atoms, space)
         if atoms.base != base:
             raise SchemaError(f"atoms on {atoms.base} do not match base {base}")
         return atoms
@@ -140,12 +141,14 @@ def _weight_lines(weights) -> list[str]:
 
 def cmd_reconstruct(args) -> int:
     doc, seq = _load_sequence(args)
-    atoms = _load_atoms(args, seq.base)
+    # The point labels live in the input alone.
+    space = doc["space"] if seq.base.is_commutative else None
+    atoms = _load_atoms(args, seq.base, space)
     mixture, residual = reconstruct(seq, atoms)
     rank = moment_rank(atoms, seq.depth)
     out = serialize.encode_mixture(mixture)
-    if seq.base.is_commutative:  # the point labels live in the input alone
-        out["space"] = doc["space"]
+    if space is not None:
+        out["space"] = space
     degenerate = rank < len(atoms)
     out.update({"residual": residual, "moment_rank": rank, "degenerate": degenerate})
     lines = [f"atoms: {len(atoms)}", f"residual: {residual:.6e}"]

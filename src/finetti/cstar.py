@@ -19,6 +19,8 @@ import numpy as np
 # Default tolerances for positivity (eigenvalue floor) and trace normalization.
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
+# Tolerance of a probability vector's sign and sum.
+PROB_TOL = 1e-9
 
 
 def _as_locked_complex(mat: np.ndarray) -> np.ndarray:
@@ -157,6 +159,22 @@ def make_state(algebra: Algebra, dens) -> StateVec:
     if abs(total - 1.0) > TRACE_TOL:
         raise ValueError(f"total trace {total!r} differs from 1 beyond {TRACE_TOL}")
     return s
+
+
+def probability_vector(probs, size: int) -> np.ndarray:
+    """``probs`` as a read-only float vector of ``size`` entries, checked
+    finite, nonnegative and summing to 1 (the last two within ``PROB_TOL``):
+    a state on ``size`` points, and the one check of a measure, a kernel row
+    or mixture weights."""
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (size,):
+        raise ValueError(f"{p.shape} probabilities for {size} points")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if p.min() < -PROB_TOL or abs(p.sum() - 1.0) > PROB_TOL:
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    p.setflags(write=False)
+    return p
 
 
 def eval_state(s: StateVec, a: Element) -> complex:

@@ -34,6 +34,7 @@ from .cstar import (
     StateVec,
     dense_to_blocks,
     hermitian_basis,
+    probability_vector,
     state_distance,
     state_to_dense,
 )
@@ -49,7 +50,6 @@ from .exchange import (
 from .solvers import EPS, LeadFit, lead_first_lstsq, realify
 
 DISTINCT_TOL = 1e-6
-WEIGHT_TOL = 1e-9
 SYNTH_TOL = 1e-10
 # Entries of one block of the distinctness screen's pairwise table.
 SCREEN_ENTRIES = 1 << 19
@@ -240,13 +240,7 @@ class Mixture:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.atomset),):
-            raise ValueError(f"{w.shape} weights for {len(self.atomset)} atoms")
-        if not np.isfinite(w).all() or w.min() < -WEIGHT_TOL or abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError("weights must lie on the probability simplex")
-        w.setflags(write=False)
-        self.weights = w
+        self.weights = probability_vector(self.weights, len(self.atomset))
 
     def barycenter(self) -> StateVec:
         """Level-1 state of the mixture, ``sum_k w_k sigma_k``."""
@@ -390,17 +384,16 @@ class Cone:
     def at(self, kappa: StateVec, n: int) -> StateVec:
         return apply(self.channels[n - 1], kappa)
 
-    def sequence(self, kappa: StateVec, tolerance: float | None = None) -> ExchSeq:
+    def sequence(self, kappa: StateVec) -> ExchSeq:
         """The tower of the channels' outputs at ``kappa``, packed straight
         from the outputs' rep-space matrices."""
-        tol = self.tolerance if tolerance is None else tolerance
         if kappa.algebra != self.apex:
             raise ValueError(f"state lives on {kappa.algebra}, apex is {self.apex}")
         dense = state_to_dense(kappa)
         levels = [apply_dense(ch, dense) for ch in self.channels]
         if self.base.is_commutative:  # the block values sit on the diagonal
             levels = [lv.diagonal() for lv in levels]
-        return ExchSeq(self.base, tuple(levels), tol)
+        return ExchSeq(self.base, tuple(levels), self.tolerance)
 
     def probes(self) -> ConeProbes:
         """The probe family of the apex and the cone's tower at each probe,

@@ -1,19 +1,23 @@
 """JSON interchange for every value the command line reads or writes.
 
 Complex scalars travel as ``[re, im]`` pairs (bare numbers are accepted on
-input), matrices as row lists.  Floats are emitted with Python's shortest
-round-trip repr, so ``decode(encode(x))`` is exact.
+input), matrices as row lists, probabilities on the points of a ``space``
+(whose labels may not repeat) as JSON numbers.  Floats are emitted with
+Python's shortest round-trip repr, so ``decode(encode(x))`` is exact.
+:func:`detect_sequence` reads both sequence kinds, and one level decoder
+reads every level and atom; a grid is read in a given label order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
 
 import numpy as np
 
-from .classical import probability_vector
+from .classical import FinDist, encode_space, grid_atoms
 from .cpmaps import (
     HEISENBERG,
     SCHRODINGER,
@@ -22,7 +26,7 @@ from .cpmaps import (
     is_trace_preserving,
     is_unital,
 )
-from .cstar import Algebra, StateVec, make_state
+from .cstar import Algebra, StateVec, make_state, probability_vector
 from .definetti import (
     AtomSet,
     Cone,
@@ -167,7 +171,10 @@ def decode_state(doc, path: str = "state") -> StateVec:
     if not isinstance(mats, list) or len(mats) != alg.n_blocks:
         _fail(path, f"'dens' must list {alg.n_blocks} blocks")
     dens = [decode_matrix(m, f"{path}.dens[{i}]") for i, m in enumerate(mats)]
-    return _decode_density(alg, dens, path)
+    try:
+        return make_state(alg, dens)
+    except ValueError as e:
+        _fail(path, str(e))
 
 
 def encode_choi(f: ChoiMap) -> dict:
@@ -199,14 +206,6 @@ def decode_choi(doc, path: str = "map") -> ChoiMap:
     return f
 
 
-def _decode_density(alg: Algebra, dens: list, path: str) -> StateVec:
-    """Decoded density blocks as a state: Hermitian, positive, unit trace."""
-    try:
-        return make_state(alg, dens)
-    except ValueError as e:
-        _fail(path, str(e))
-
-
 # --- sequences ------------------------------------------------------------------
 
 def encode_exch_seq(seq: ExchSeq) -> dict:
@@ -227,53 +226,33 @@ def encode_exch_seq(seq: ExchSeq) -> dict:
     }
 
 
-def decode_exch_seq(doc, path: str = "sequence") -> ExchSeq:
-    d = _require_int(doc, "base_dim", path)
-    if d < 2:
-        _fail(path, f"base_dim must be an integer >= 2, got {d!r}")
-    depth = _require_int(doc, "depth", path)
-    mats = _require(doc, "states", path)
-    if not isinstance(mats, list) or len(mats) != depth:
-        _fail(path, f"'states' must list {depth} matrices")
-    tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
-    levels = []
-    for n, m in enumerate(mats, start=1):
-        at = f"{path}.states[{n - 1}]"
-        mat = decode_matrix(m, at)
-        if mat.shape != (d**n, d**n):
-            _fail(path, f"level {n} matrix is {mat.shape}, expected {(d**n, d**n)}")
-        levels.append(_decode_density(Algebra((d**n,)), [mat], at).dens[0])
-    try:
-        return ExchSeq(Algebra((d,)), tuple(levels), tol)
-    except ValueError as e:
-        _fail(path, str(e))
-
-
-def decode_classical_seq(doc, path: str = "sequence") -> ExchSeq:
-    """A classical sequence document as the tower on the commutative base of
-    its space.  The labels are not kept: level n is the probability vector
-    over ``space^n`` in lexicographic order."""
+def _decode_space(doc, path: str) -> list:
+    """A document's point labels: at least two, none repeated, since grids
+    are matched to them label by label."""
     space = _require(doc, "space", path)
     if not isinstance(space, list) or len(space) < 2:
         _fail(path, "'space' must list at least two labels")
-    depth = _require_int(doc, "depth", path)
-    rows = _require(doc, "measures", path)
-    if not isinstance(rows, list) or len(rows) != depth:
-        _fail(path, f"'measures' must list {depth} probability vectors")
-    tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
-    levels = []
-    for n, row in enumerate(rows, start=1):
-        at = f"{path}.measures[{n - 1}]"
-        size = len(space) ** n
-        if not isinstance(row, list) or len(row) != size:
-            _fail(path, f"level {n} must have {size} probabilities")
-        probs = decode_reals(row, at)
+    if any(space.index(x) != i for i, x in enumerate(space)):
+        _fail(f"{path}.space", f"repeated labels in {space!r}")
+    return space
+
+
+def _decode_level(value, points: bool, size: int | None, path: str) -> np.ndarray:
+    """One sequence level or atom: a probability vector of ``size`` entries
+    on points, else a ``size x size`` density matrix (any square size when
+    ``size`` is None)."""
+    if points:
+        probs = decode_reals(value, path)
         try:
-            levels.append(probability_vector(probs, size))
+            return probability_vector(probs, size)
         except ValueError as e:
-            _fail(at, str(e))
+            _fail(path, str(e))
+    mat = decode_matrix(value, path)
+    n = mat.shape[0] if size is None else size
+    if mat.shape != (n, n):
+        _fail(path, f"matrix is {mat.shape}, expected {(n, n)}")
     try:
-        return ExchSeq(Algebra((1,) * len(space)), tuple(levels), tol)
+        return make_state(Algebra((n,)), [mat]).dens[0]
     except ValueError as e:
         _fail(path, str(e))
 
@@ -289,35 +268,28 @@ def encode_atoms(atoms: AtomSet) -> dict:
     return {"atoms": [encode_matrix(s.dens[0]) for s in atoms.atoms]}
 
 
-def decode_atoms(doc, path: str = "atoms") -> AtomSet:
-    if isinstance(doc, dict) and "grid" in doc:
-        space, grid = _require(doc, "space", path), doc["grid"]
-        if not isinstance(space, list) or len(space) < 2:
-            _fail(path, "'space' must list at least two labels")
-        if not isinstance(grid, list) or not grid:
+def decode_atoms(doc, path: str = "atoms", space=None) -> AtomSet:
+    """An atom dictionary: density matrices under ``atoms``, or probability
+    rows under ``grid`` on the labels of its ``space``, read in the label
+    order of ``space`` (by default the document's own)."""
+    points = isinstance(doc, dict) and "grid" in doc
+    if points:
+        labels, rows = _decode_space(doc, path), doc["grid"]
+        if not isinstance(rows, list) or not rows:
             _fail(path, "'grid' must be a non-empty list of probability rows")
-        k = len(space)
-        states = []
-        for i, row in enumerate(grid):
-            if not isinstance(row, list) or len(row) != k:
-                _fail(path, f"grid row {i} must have {k} probabilities")
-            dens = [np.array([[decode_complex(p, f"{path}.grid[{i}]")]]) for p in row]
-            states.append(_decode_density(Algebra((1,) * k), dens, f"{path}.grid[{i}]"))
-        try:
-            return explicit_atoms(states)
-        except ValueError as e:
-            _fail(path, str(e))
-    mats = _require(doc, "atoms", path)
-    if not isinstance(mats, list) or not mats:
-        _fail(path, "'atoms' must be a non-empty list of matrices")
-    states = []
-    for i, m in enumerate(mats):
-        mat = decode_matrix(m, f"{path}.atoms[{i}]")
-        if mat.shape[0] != mat.shape[1]:
-            _fail(path, f"atom {i} is not square")
-        states.append(_decode_density(Algebra((mat.shape[0],)), [mat], f"{path}.atoms[{i}]"))
+        grid = [
+            FinDist(labels, _decode_level(row, True, len(labels), f"{path}.grid[{i}]"))
+            for i, row in enumerate(rows)
+        ]
+    else:
+        mats = _require(doc, "atoms", path)
+        if not isinstance(mats, list) or not mats:
+            _fail(path, "'atoms' must be a non-empty list of matrices")
+        dens = [_decode_level(m, False, None, f"{path}.atoms[{i}]") for i, m in enumerate(mats)]
     try:
-        return explicit_atoms(states)
+        if points:
+            return grid_atoms(grid, space)
+        return explicit_atoms(StateVec(Algebra(m.shape[:1]), [m]) for m in dens)
     except ValueError as e:
         _fail(path, str(e))
 
@@ -392,28 +364,40 @@ def encode_report(report: ExchangeReport, kind: str) -> dict:
 
 
 def encode_uniqueness(rep: UniquenessReport) -> dict:
-    return {
-        "n_atoms": rep.n_atoms,
-        "moment_rank": rep.moment_rank,
-        "independent": rep.independent,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "max_weight_spread": rep.max_weight_spread,
-        "max_moment_spread": rep.max_moment_spread,
-    }
+    return dataclasses.asdict(rep)
 
 
 # --- top-level I/O ----------------------------------------------------------------
 
-def detect_sequence(doc, path: str = "input"):
-    """Dispatch a parsed document to the quantum or classical decoder."""
+def detect_sequence(doc, path: str = "input") -> ExchSeq:
+    """The tower of a sequence document: density matrices under ``states``
+    on a ``base_dim`` matrix block, or probability vectors under
+    ``measures`` on the points of ``space`` (level n over ``space^n`` in
+    lexicographic order; the tower keeps no labels)."""
     if not isinstance(doc, dict):
         _fail(path, "expected a JSON object")
     if "base_dim" in doc:
-        return decode_exch_seq(doc, path)
-    if "space" in doc:
-        return decode_classical_seq(doc, path)
-    _fail(path, "cannot tell the sequence kind: need 'base_dim' or 'space'")
+        d = _require_int(doc, "base_dim", path)
+        if d < 2:
+            _fail(path, f"base_dim must be an integer >= 2, got {d!r}")
+        base, key = Algebra((d,)), "states"
+    elif "space" in doc:
+        base, key = encode_space(_decode_space(doc, path)), "measures"
+    else:
+        _fail(path, "cannot tell the sequence kind: need 'base_dim' or 'space'")
+    depth = _require_int(doc, "depth", path)
+    rows = _require(doc, key, path)
+    if not isinstance(rows, list) or len(rows) != depth:
+        _fail(path, f"{key!r} must list {depth} levels")
+    tol = decode_tol(doc.get("tol", 1e-9), f"{path}.tol")
+    levels = tuple(
+        _decode_level(row, base.is_commutative, base.rep_dim**n, f"{path}.{key}[{n - 1}]")
+        for n, row in enumerate(rows, start=1)
+    )
+    try:
+        return ExchSeq(base, levels, tol)
+    except ValueError as e:
+        _fail(path, str(e))
 
 
 def load_document(filename: str):

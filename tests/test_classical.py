@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from finetti.classical import (
     check_exchangeable_measures,
     classical_moment_rank,
     dirac,
-    encode_dist,
     encode_space,
     flatten,
     grid_atoms,
@@ -109,6 +110,8 @@ def test_monad_associativity():
 def test_kernel_validation_and_call():
     with pytest.raises(ValueError):
         Kernel(ABC, ["x"], np.array([[0.5], [1.0], [1.0]]))  # row sums
+    with pytest.raises(ValueError, match="finite"):
+        Kernel(["a", "b"], ["x", "y"], np.array([[np.nan, np.nan], [0.5, 0.5]]))
     k = Kernel(ABC, ["x", "y"], np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
     out = k(FinDist(ABC, np.array([0.2, 0.3, 0.5])))
     assert np.allclose(out.probs, [0.2 + 0.25, 0.3 + 0.25])
@@ -301,18 +304,62 @@ def test_coin_grid_with_biases_closer_than_the_distinctness_tolerance_is_refused
         classical_moment_rank(grid, 3)
 
 
+def _heads_family(depth=4):
+    """An even mixture of coins of bias 0.2 and 0.9 on H, on ``["H", "T"]``."""
+    return synthesize_measures(coin_grid((0.2, 0.9)), [0.5, 0.5], depth)
+
+
+def test_a_grid_on_reordered_labels_is_read_in_the_family_order():
+    # FinDist(["T", "H"], [p, 1 - p]) puts bias p on T, so this grid does not
+    # hold the family's components: the fit is the one of the grid written
+    # out on ["H", "T"], not an exact one.
+    seq = _heads_family()
+    flipped = [FinDist(["T", "H"], [p, 1 - p]) for p in (0.2, 0.9)]
+    reordered = [FinDist(["H", "T"], [1 - p, p]) for p in (0.2, 0.9)]
+    w, residual = hs_reconstruct(seq, flipped)
+    w_ref, residual_ref = hs_reconstruct(seq, reordered)
+    assert np.array_equal(w, w_ref) and residual == residual_ref
+    assert residual > 0.1
+    assert np.allclose(w, [0.643, 0.357], atol=1e-3)
+    # A grid that mixes label orders fits like its copy in one order.
+    mixed = [FinDist(["H", "T"], [0.2, 0.8]), FinDist(["T", "H"], [0.1, 0.9])]
+    ordered = [FinDist(["H", "T"], [0.2, 0.8]), FinDist(["H", "T"], [0.9, 0.1])]
+    w, residual = hs_reconstruct(seq, mixed)
+    w_ref, residual_ref = hs_reconstruct(seq, ordered)
+    assert np.array_equal(w, w_ref) and residual == residual_ref < 1e-10
+    # synthesize_measures reads its grid the same way.
+    got = synthesize_measures(mixed, [0.5, 0.5], 4)
+    want = synthesize_measures(ordered, [0.5, 0.5], 4)
+    for a, b in zip(got.measures, want.measures, strict=True):
+        assert np.array_equal(a.probs, b.probs)
+
+
+def test_a_grid_on_other_labels_is_refused_by_name():
+    seq = _heads_family()
+    for grid in (
+        [FinDist(["A", "B"], [0.2, 0.8])],
+        [FinDist(["H", "T", "A"], [0.2, 0.3, 0.5])],
+        [bernoulli(COIN_SPACE, 0.2), FinDist(["H", "H"], [0.2, 0.8])],
+    ):
+        message = f"labels {grid[-1].space} are not a reordering of ['H', 'T']"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hs_reconstruct(seq, grid)
+        with pytest.raises(ValueError, match="not a reordering"):
+            grid_atoms(grid, ["H", "T"])
+
+
 def test_encode_space_and_dist():
     alg = encode_space(ABC)
     assert alg.blocks == (1, 1, 1)
-    d = FinDist(ABC, np.array([0.2, 0.3, 0.5]))
-    s = encode_dist(d)
+    (s,) = grid_atoms([FinDist(ABC, np.array([0.2, 0.3, 0.5]))]).atoms
     assert [m[0, 0].real for m in s.dens] == pytest.approx([0.2, 0.3, 0.5])
-    # A grid's atom set puts every atom on one base, with the same blocks.
+    # A grid's atom set puts every atom on one base, each point a 1x1 block
+    # holding its probability.
     grid = coin_grid((0.0, 0.3, 1.0))
     atoms = grid_atoms(grid)
     assert atoms.base == encode_space(COIN_SPACE)
     for g, atom in zip(grid, atoms.atoms, strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(atom.dens, encode_dist(g).dens))
+        assert all(np.array_equal(a, [[p]]) for a, p in zip(atom.dens, g.probs, strict=True))
 
 
 def test_encoded_reconstruction_agrees_with_native():

@@ -24,14 +24,14 @@ from finetti.classical import (
     bernoulli,
     check_exchangeable_measures,
     classical_moment_rank,
-    encode_dist,
     encode_seq,
+    grid_atoms,
     hs_reconstruct,
     synthesize_measures,
 )
 from finetti.cpmaps import SCHRODINGER, choi_from_function
 from finetti.cstar import Algebra
-from finetti.definetti import Cone, explicit_atoms
+from finetti.definetti import Cone
 from finetti.fixtures import (
     COIN_SPACE,
     QUBIT,
@@ -276,7 +276,7 @@ def test_reconstruct_classical_default_grid(capsys, coin_file):
 
 def test_reconstruct_classical_exact_grid(capsys, coin_file, tmp_path):
     atoms = tmp_path / "grid.json"
-    atoms.write_text(json.dumps({"space": [0, 1], "grid": [[0, 1], [0.5, 0.5], [1, 0]]}))
+    atoms.write_text(json.dumps({"space": ["H", "T"], "grid": [[0, 1], [0.5, 0.5], [1, 0]]}))
     code, doc = run_json(
         capsys,
         ["reconstruct", "--input", coin_file, "--atoms", str(atoms), "--format", "json"],
@@ -318,7 +318,7 @@ def test_classical_documents_match_the_classical_route(capsys, tmp_path, case):
     rows = [g.probs.tolist() for g in grid]
     if grid_file:
         atoms = tmp_path / "grid.json"
-        atoms.write_text(json.dumps({"space": list(range(len(seq.space))), "grid": rows}))
+        atoms.write_text(json.dumps({"space": seq.space, "grid": rows}))
         argv += ["--atoms", str(atoms)]
     code, doc = run_json(capsys, argv)
     weights, residual = hs_reconstruct(seq, grid)
@@ -332,6 +332,32 @@ def test_classical_documents_match_the_classical_route(capsys, tmp_path, case):
         "moment_rank": rank,
         "degenerate": rank < len(grid),
     }
+
+
+def test_an_atoms_grid_is_read_in_the_label_order_of_the_input(capsys, tmp_path):
+    # An even mixture of coins of bias 0.2 and 0.9 on H.  A grid on ["T", "H"]
+    # is the grid of its rows reordered to ["H", "T"]; one on other labels is
+    # refused.
+    family = synthesize_measures(coin_grid((0.2, 0.9)), [0.5, 0.5], 4)
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(classical_doc(family)))
+    outputs = []
+    for name, grid in [
+        ("flipped", {"space": ["T", "H"], "grid": [[0.2, 0.8], [0.9, 0.1]]}),
+        ("reordered", {"space": ["H", "T"], "grid": [[0.8, 0.2], [0.1, 0.9]]}),
+    ]:
+        atoms = tmp_path / f"{name}.json"
+        atoms.write_text(json.dumps(grid))
+        argv = ["reconstruct", "--input", str(path), "--atoms", str(atoms), "--format", "json"]
+        outputs.append(run_json(capsys, argv))
+    assert outputs[0] == outputs[1]
+    code, doc = outputs[0]
+    assert code == EXIT_OK and doc["residual"] > 0.1
+    assert doc["space"] == ["H", "T"] and doc["grid"] == [[0.8, 0.2], [0.1, 0.9]]
+    atoms = tmp_path / "foreign.json"
+    atoms.write_text(json.dumps({"space": ["A", "B"], "grid": [[0.2, 0.8], [0.9, 0.1]]}))
+    code = main(["reconstruct", "--input", str(path), "--atoms", str(atoms)])
+    _assert_invalid_input(capsys, code, "labels ['A', 'B'] are not a reordering of ['H', 'T']")
 
 
 def test_reconstruct_echoes_the_labels_of_the_input(capsys, coin_file):
@@ -686,7 +712,7 @@ VALID_DOCS = {
     "cone": (encode_cone(measure_prepare_cone(2)), "factor", None),
     "atoms": (encode_atoms(circuit1_atoms()), "reconstruct", encode_exch_seq(circuit1_sequence(2))),
     "grid": (
-        encode_atoms(explicit_atoms(map(encode_dist, coin_grid()))),
+        dict(encode_atoms(grid_atoms(coin_grid())), space=COIN_SPACE),
         "reconstruct",
         classical_doc(coin_sequence(depth=2)),
     ),

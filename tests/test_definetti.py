@@ -618,7 +618,7 @@ def test_synthesize_matches_eta_invariance():
 def test_mixture_rejects_non_finite_weights():
     atoms = default_atoms(2, 3, seed=1)
     for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
-        with pytest.raises(ValueError, match="simplex"):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
             Mixture(atoms, np.array(bad))
 
 

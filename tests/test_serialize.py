@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,10 +27,8 @@ from finetti.serialize import (
     SchemaError,
     decode_atoms,
     decode_choi,
-    decode_classical_seq,
     decode_complex,
     decode_cone,
-    decode_exch_seq,
     decode_matrix,
     decode_mixture,
     decode_state,
@@ -183,25 +182,25 @@ def test_decoded_maps_must_be_channels():
 
 
 def test_integer_fields_refuse_booleans():
-    docs = {
-        decode_exch_seq: encode_exch_seq(circuit1_sequence(1)),
-        decode_classical_seq: encode_exch_seq(encode_seq(coin_sequence(depth=1))),
-        decode_cone: encode_cone(measure_prepare_cone(1)),
-    }
-    for decode, doc in docs.items():
+    docs = [
+        (detect_sequence, encode_exch_seq(circuit1_sequence(1))),
+        (detect_sequence, encode_exch_seq(encode_seq(coin_sequence(depth=1)))),
+        (decode_cone, encode_cone(measure_prepare_cone(1))),
+    ]
+    for decode, doc in docs:
         # True == 1, the depth of each document
         with pytest.raises(SchemaError, match=r"\.depth: expected an integer, got True"):
             decode(dict(json_round(doc), depth=True))
     doc = encode_exch_seq(circuit1_sequence(1))
     with pytest.raises(SchemaError, match=r"\.base_dim: expected an integer, got True"):
-        decode_exch_seq(dict(json_round(doc), base_dim=True))
+        detect_sequence(dict(json_round(doc), base_dim=True))
     with pytest.raises(SchemaError, match="positive integers"):
         decode_state({"blocks": [True], "dens": [[[1.0]]]})
 
 
 def test_exch_seq_round_trip():
     seq = circuit1_sequence(3)
-    back = decode_exch_seq(json_round(encode_exch_seq(seq)))
+    back = detect_sequence(json_round(encode_exch_seq(seq)))
     assert back.depth == 3
     assert back.base == QUBIT
     assert back.tolerance == seq.tolerance
@@ -212,23 +211,23 @@ def test_exch_seq_round_trip():
 
 def test_exch_seq_schema_errors():
     with pytest.raises(SchemaError, match="base_dim"):
-        decode_exch_seq({"depth": 1, "states": []})
+        detect_sequence({"depth": 1, "states": []})
     with pytest.raises(SchemaError, match="states"):
-        decode_exch_seq({"base_dim": 2, "depth": 2, "states": [[[1, 0], [0, 0]]]})
+        detect_sequence({"base_dim": 2, "depth": 2, "states": [[[1, 0], [0, 0]]]})
 
 
 def test_sequences_need_at_least_one_level():
     with pytest.raises(SchemaError, match="at least one level"):
-        decode_exch_seq({"base_dim": 2, "depth": 0, "states": []})
+        detect_sequence({"base_dim": 2, "depth": 0, "states": []})
     with pytest.raises(SchemaError, match="at least one level"):
-        decode_classical_seq({"space": ["H", "T"], "depth": 0, "measures": []})
+        detect_sequence({"space": ["H", "T"], "depth": 0, "measures": []})
 
 
 def test_classical_seq_round_trip():
     seq = coin_sequence(depth=3)
     doc = json_round(encode_exch_seq(encode_seq(seq)))
     assert doc["space"] == [0, 1]  # a tower keeps no labels
-    back = decode_classical_seq(doc)
+    back = detect_sequence(doc)
     assert back.base == Algebra((1, 1))
     assert back.depth == 3
     assert back.tolerance == seq.tolerance
@@ -254,18 +253,40 @@ def test_atoms_round_trip_quantum_and_classical():
     for a, b in zip(back.atoms, atoms.atoms):
         assert state_distance(a, b) == 0.0
 
-    from finetti.classical import encode_dist
-    from finetti.definetti import explicit_atoms
+    from finetti.classical import grid_atoms
 
-    grid = explicit_atoms([encode_dist(g) for g in coin_grid((0.0, 0.5, 1.0))])
+    grid = grid_atoms(coin_grid((0.0, 0.5, 1.0)))
     doc = json_round(encode_atoms(grid))
     assert "grid" in doc  # commutative bases use the probability-row format
     back = decode_atoms(doc)
     assert back.base.blocks == (1, 1)
     for a, b in zip(back.atoms, grid.atoms):
         assert state_distance(a, b) == 0.0
-    with pytest.raises(SchemaError, match="grid row"):
+    with pytest.raises(SchemaError, match=r"^atoms\.grid\[0\]: \(1,\) probabilities for 2 points"):
         decode_atoms({"space": [0, 1], "grid": [[0.5]]})
+
+
+def test_grid_rows_are_numbers_on_distinct_labels():
+    # An [re, im] pair is refused in a grid row as it is under 'measures'.
+    with pytest.raises(SchemaError, match=r"^atoms\.grid\[0\]\[0\]: expected a number"):
+        decode_atoms({"space": [0, 1], "grid": [[[0.5, 0.0], 0.5], [0.2, 0.8]]})
+    # Labels are matched, so a space may not repeat one.
+    with pytest.raises(SchemaError, match=r"^input\.space: repeated labels in \['H', 'H'\]"):
+        detect_sequence({"space": ["H", "H"], "depth": 1, "measures": [[0.5, 0.5]]})
+    with pytest.raises(SchemaError, match=r"^atoms\.space: repeated labels"):
+        decode_atoms({"space": [0, 1, 0], "grid": [[0.2, 0.3, 0.5]]})
+
+
+def test_grid_documents_are_read_in_the_given_label_order():
+    def rows(atoms):
+        return [[m[0, 0].real for m in s.dens] for s in atoms.atoms]
+
+    doc = {"space": ["T", "H"], "grid": [[0.8, 0.2], [0.1, 0.9]]}
+    assert rows(decode_atoms(doc)) == rows(decode_atoms(doc, space=["T", "H"])) == doc["grid"]
+    assert rows(decode_atoms(doc, space=["H", "T"])) == [[0.2, 0.8], [0.9, 0.1]]
+    message = "atoms: labels ['T', 'H'] are not a reordering of ['A', 'B']"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        decode_atoms(doc, space=["A", "B"])
 
 
 def test_mixture_round_trip():
@@ -322,12 +343,12 @@ def test_non_finite_numbers_are_schema_errors():
             decode_complex(bad, "x")
     seq = {"space": ["H", "T"], "depth": 1, "measures": [[float("nan"), 1.0]]}
     with pytest.raises(SchemaError, match="finite"):
-        decode_classical_seq(seq)
+        detect_sequence(seq)
     with pytest.raises(SchemaError, match="finite"):
         decode_atoms({"space": [0, 1], "grid": [[float("nan"), 1.0]]})
     seq["measures"] = [[10**400, 1.0]]
     with pytest.raises(SchemaError, match="non-finite"):
-        decode_classical_seq(json_round(seq))
+        detect_sequence(json_round(seq))
 
 
 @pytest.mark.parametrize(
@@ -336,7 +357,7 @@ def test_non_finite_numbers_are_schema_errors():
 def test_real_entries_must_be_numbers(entry):
     seq = {"space": ["H", "T"], "depth": 1, "measures": [[entry, 0.5]]}
     with pytest.raises(SchemaError, match=r"^sequence\.measures\[0\]\[0\]: expected a number"):
-        decode_classical_seq(seq)
+        detect_sequence(seq, "sequence")
     doc = encode_mixture(Mixture(default_atoms(2, 2, seed=1), np.array([0.5, 0.5])))
     doc["weights"] = [0.5, entry]
     with pytest.raises(SchemaError, match=r"^mixture\.weights\[1\]: expected a number"):
@@ -344,12 +365,12 @@ def test_real_entries_must_be_numbers(entry):
 
 
 def test_tol_must_be_a_finite_number_at_least_0():
-    docs = {
-        decode_exch_seq: encode_exch_seq(circuit1_sequence(2)),
-        decode_classical_seq: encode_exch_seq(encode_seq(coin_sequence(depth=2))),
-        decode_cone: encode_cone(measure_prepare_cone(2)),
-    }
-    for decode, doc in docs.items():
+    docs = [
+        (detect_sequence, encode_exch_seq(circuit1_sequence(2))),
+        (detect_sequence, encode_exch_seq(encode_seq(coin_sequence(depth=2)))),
+        (decode_cone, encode_cone(measure_prepare_cone(2))),
+    ]
+    for decode, doc in docs:
         for bad in (None, True, "inf", "1e-9", -1, -1e-12, float("nan"), float("inf"), 10**400):
             with pytest.raises(SchemaError, match=r"\.tol: tolerance must be a finite number"):
                 decode(dict(json_round(doc), tol=bad))
@@ -362,16 +383,16 @@ def test_decoded_levels_and_atoms_must_be_states():
     bad = json_round(doc)
     bad["states"][0] = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
     with pytest.raises(SchemaError, match=r"states\[0\].*not positive"):
-        decode_exch_seq(bad)
+        detect_sequence(bad)
     bad = json_round(doc)
     bad["states"][0][0][1] = [0.3, 0.0]
     with pytest.raises(SchemaError, match="not Hermitian"):
-        decode_exch_seq(bad)
+        detect_sequence(bad)
     bad = json_round(doc)
     bad["states"][1][0][0] = [1.0, 0.0]
     with pytest.raises(SchemaError, match=r"states\[1\].*trace"):
-        decode_exch_seq(bad)
+        detect_sequence(bad)
     with pytest.raises(SchemaError, match=r"atoms\[0\].*trace"):
         decode_atoms({"atoms": [[[1, 0], [0, 1]]]})
-    with pytest.raises(SchemaError, match=r"grid\[0\].*not positive"):
+    with pytest.raises(SchemaError, match=r"grid\[0\].*nonnegative"):
         decode_atoms({"space": [0, 1], "grid": [[1.5, -0.5]]})
