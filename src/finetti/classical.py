@@ -126,7 +126,12 @@ def product_measure(mu: FinDist, n: int) -> FinDist:
 
 @dataclass
 class ClassicalExchSeq:
-    """Measures ``mu_1 .. mu_N`` on the tuple powers of a finite space."""
+    """Measures ``mu_1 .. mu_N`` on the tuple powers of a finite space.
+
+    Level n is read in the lexicographic order of ``tuple_space(space, n)``
+    (level 1 may list the bare labels): a level that lists its labels in
+    another order is reordered, and one on other labels is refused.
+    """
 
     space: list
     depth: int
@@ -139,9 +144,23 @@ class ClassicalExchSeq:
         if self.depth < 1:
             raise ValueError("need at least one level")
         k = len(self.space)
+        measures = []
         for n, mu in enumerate(self.measures, start=1):
             if len(mu.space) != k**n:
                 raise ValueError(f"level {n} has {len(mu.space)} labels, expected {k**n}")
+            measures.append(self._read_level(n, mu))
+        self.measures = measures
+
+    def _read_level(self, n: int, mu: FinDist) -> FinDist:
+        labels = tuple_space(self.space, n)
+        try:
+            probs = _in_order(mu, labels)
+        except ValueError:
+            if n > 1:
+                raise
+            labels = list(self.space)
+            probs = _in_order(mu, labels)
+        return mu if probs is mu.probs else FinDist(labels, probs)
 
     def level(self, n: int) -> FinDist:
         return self.measures[n - 1]
@@ -202,12 +221,25 @@ def grid_atoms(grid: list[FinDist], space=None) -> AtomSet:
     )
 
 
+def label_key(label):
+    """A label as labels are matched: by equality, except that a boolean is
+    never a number (JSON's ``true`` is not its ``1``, while ``1`` and ``1.0``
+    stay one number).  Tuples and lists are keyed entry by entry."""
+    if isinstance(label, (tuple, list)):
+        return type(label), tuple(map(label_key, label))
+    if isinstance(label, (bool, np.bool_)):
+        return bool, bool(label)
+    return label
+
+
 def _in_order(dist: FinDist, space: list) -> np.ndarray:
-    """The probabilities of ``dist`` in the label order of ``space``."""
-    if dist.space == space:
+    """The probabilities of ``dist`` in the label order of ``space``, labels
+    matched by :func:`label_key`."""
+    have, want = list(map(label_key, dist.space)), list(map(label_key, space))
+    if have == want:
         return dist.probs
-    order = [dist.space.index(x) if x in dist.space else -1 for x in space]
-    if sorted(order) != list(range(len(dist.space))):
+    order = [have.index(x) if x in have else -1 for x in want]
+    if sorted(order) != list(range(len(have))):
         raise ValueError(f"labels {dist.space} are not a reordering of {space}")
     return dist.probs[order]
 

@@ -167,6 +167,19 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
+def _certificate_line(unique) -> str:
+    """The uniqueness certificate of a ``factor`` run, in one line."""
+    probes = len(unique.support)
+    settled = probes - unique.restarts // unique.trials
+    verdict = "unique" if unique.unique else "not certified unique"
+    return (
+        f"mediating map: {verdict} (certified at {settled}/{probes} probes; least "
+        f"margin {unique.margin:.3e}, threshold {unique.margin_tol:.1e}; support sizes "
+        + " ".join(str(n) for n in unique.support)
+        + ")"
+    )
+
+
 def cmd_factor(args) -> int:
     doc = serialize.load_document(args.input)
     cone = serialize.decode_cone(doc, args.input)
@@ -183,10 +196,15 @@ def cmd_factor(args) -> int:
         f"probes: {len(med.probes)}",
         f"max reconstruction residual: {med.residuals.max():.6e}",
         f"factorization error: {err:.6e}",
-        f"moment rank: {unique.moment_rank}/{unique.n_atoms}"
-        + ("" if unique.independent else " (degenerate)"),
-        f"weight spread over {unique.trials} restarts: {unique.max_weight_spread:.3e}",
+        f"moment rank: {unique.moment_rank}/{unique.n_atoms}",
+        _certificate_line(unique),
     ]
+    if unique.restarts:
+        lines.append(
+            f"weight spread over {unique.trials} restarts at each of "
+            f"{unique.restarts // unique.trials} uncertified probes: "
+            f"{unique.max_weight_spread:.3e}"
+        )
     _emit(args, lines, out)
     return EXIT_OK
 
@@ -272,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=10,
-        help="uniqueness restarts per probe state, each from a random point "
-        "of a random face of the simplex",
+        help="uniqueness restarts per probe state the exact certificate "
+        "cannot settle, each from a random point of a random face of the simplex",
     )
     sp.set_defaults(func=cmd_factor)
 

@@ -47,7 +47,7 @@ from .exchange import (
     _pack,
     _unpack,
 )
-from .solvers import EPS, LeadFit, lead_first_lstsq, realify
+from .solvers import EPS, LeadFit, lead_first_lstsq, realify, simplex_lstsq
 
 DISTINCT_TOL = 1e-6
 SYNTH_TOL = 1e-10
@@ -583,8 +583,95 @@ def factorization_error(cone: Cone, med: MediatingMap) -> float:
     return worst
 
 
+class Certificate(NamedTuple):
+    """Whether a simplex point is the only one with its moment image (see
+    :func:`certify`): the verdict, the margin ``delta_lo`` and, when it is
+    not certified, a direction ``d`` with ``[1; A] d = 0`` up to round-off
+    and ``d >= 0`` off the support (``None`` when it is)."""
+
+    unique: bool
+    margin: float
+    direction: np.ndarray | None
+
+
+def certificate_tolerances(a: np.ndarray) -> tuple[float, float]:
+    """The rank and margin thresholds of :func:`certify` over the design
+    ``a`` (``m x k``), scaled by the largest column norm of ``[1; A]``.
+
+    A singular value of ``[1; A]_S`` at or below the rank threshold,
+    ``eps * max(m + 1, k)`` times that norm (the cut-off of
+    :func:`numpy.linalg.matrix_rank`), counts as zero.  A margin must exceed
+    ``sqrt(eps)`` times that norm to certify: well above the round-off of
+    the projected off-support columns, which a margin of 0 reads as.
+    """
+    norm = float(np.sqrt(1.0 + np.einsum("ij,ij->j", a, a).max()))
+    return float(EPS * max(a.shape[0] + 1, a.shape[1]) * norm), float(np.sqrt(EPS)) * norm
+
+
+def certify(a: np.ndarray, w: np.ndarray) -> Certificate:
+    """Prove or refute that the simplex point ``w`` is the only one with the
+    image ``a @ w``.
+
+    With ``Ã = [1; A]``, the simplex points of that image are the ``w' >= 0``
+    with ``Ã w' = Ã w``.  Let ``S`` be the support of ``w`` and ``P_S`` the
+    projector onto the range of ``Ã_S``.  Then ``w`` is the only one iff
+    ``Ã_S`` has full column rank and ``delta = min ||(I - P_S) Ã_off d||``
+    over the simplex points ``d`` off ``S`` is positive: the nonnegative
+    analogue of the uniqueness condition of Bruckstein, Elad & Zibulevsky
+    (IEEE Trans. Inf. Theory 54, 2008).  ``delta`` is one
+    :func:`~finetti.solvers.simplex_lstsq` solve, and the Frank-Wolfe gap of
+    ``f(d) = ||M d||^2`` at its point (Jaggi, ICML 2013) bounds it from
+    below: ``delta^2 >= 2 min_k (M^T M d)_k - ||M d||^2``.  That bound is the
+    margin; it holds at any simplex point, so it does not rest on the solve
+    reaching its optimum.
+
+    ``w`` is certified when the rank test and ``margin > tau`` pass, at the
+    thresholds of :func:`certificate_tolerances`.  The margin is ``inf``
+    when ``S`` covers every atom (no solve runs) and 0 when the rank test
+    fails.  It is a stability bound too: every simplex point ``w'`` puts at
+    most ``||A (w' - w)|| / margin`` of its mass off ``S``.
+    """
+    rank_tol, margin_tol = certificate_tolerances(a)
+    aug = np.vstack([np.ones((1, a.shape[1])), a])
+    on = w > 0
+    # The full SVD: with more support atoms than rows, vt[-1] still spans
+    # a null direction.
+    u, s, vt = np.linalg.svd(aug[:, on])
+    rank = int(np.count_nonzero(s > rank_tol))
+    if rank < len(vt):
+        direction = np.zeros(len(w))
+        direction[on] = vt[-1]
+        return Certificate(False, 0.0, direction)
+    off = aug[:, ~on]
+    if not off.shape[1]:
+        return Certificate(True, float("inf"), None)
+    u = u[:, :rank]
+    coef = u.T @ off
+    m = off - u @ coef
+    d, _ = simplex_lstsq(m, np.zeros(len(m)))
+    md = m @ d
+    margin = float(np.sqrt(max(0.0, 2.0 * (m.T @ md).min() - md @ md)))
+    if margin > margin_tol:
+        return Certificate(True, margin, None)
+    direction = np.zeros(len(w))
+    direction[~on] = d
+    direction[on] = -vt.T @ ((coef @ d) / s)
+    return Certificate(False, margin, direction)
+
+
 @dataclass
 class UniquenessReport:
+    """How :func:`uniqueness_check` settled the mediating map's uniqueness.
+
+    ``unique`` is the certificate's verdict over every probe state,
+    ``margin`` the least margin (``inf`` when every probe's support covers
+    every atom), ``support`` the support size of each probe's weights, and
+    ``rank_tol`` and ``margin_tol`` the thresholds of
+    :func:`certificate_tolerances`.  ``restarts`` counts the restarts run:
+    ``trials`` at each probe the certificate left open, and the two spreads
+    are taken over those probes (0.0 when there are none).
+    """
+
     n_atoms: int
     moment_rank: int
     independent: bool
@@ -592,6 +679,12 @@ class UniquenessReport:
     seed: int
     max_weight_spread: float
     max_moment_spread: float
+    unique: bool
+    margin: float
+    support: tuple[int, ...]
+    restarts: int
+    rank_tol: float
+    margin_tol: float
 
 
 def uniqueness_check(
@@ -600,8 +693,63 @@ def uniqueness_check(
     trials: int = 10,
     seed: int = 0,
 ) -> UniquenessReport:
-    """Re-solve the reconstruction of :func:`reconstruct` at every probe
-    state from ``trials`` random restarts, seeded by ``seed``.
+    """Certify that the mediating map of ``cone`` over ``atoms`` is unique,
+    and restart the fit at every probe state the certificate cannot settle.
+
+    The probes are fitted as :func:`mediating_map` fits them, and each
+    distinct weight vector (bit for bit) goes through :func:`certify` once,
+    against the design of the final stage: that stage's fitted image is
+    unique, so its optimal weights are the simplex points with that image.
+    Uniqueness at the probes, which span the apex, makes the linear
+    mediating map unique.
+
+    A probe the certificate leaves open gets ``trials`` restarts seeded by
+    ``seed`` (:func:`restart_spreads`), and the report carries their
+    spreads.  Raises ``ValueError`` when ``trials`` is below 2, which leaves
+    no pair of restarts to compare, and when the cone's base is not the
+    atoms' base, as :func:`mediating_map` does.
+    """
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2, got {trials}")
+    if cone.base != atoms.base:
+        raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
+    rank = moment_rank(atoms, cone.depth)
+    targets, _ = cone.targets()
+    fit = atoms.context(cone.depth)
+    a = fit.second.a
+    weights, _ = lead_first_lstsq(fit, targets)
+    certs: dict[bytes, Certificate] = {}
+    for w in weights:
+        if w.tobytes() not in certs:
+            certs[w.tobytes()] = certify(a, w)
+    settled = np.array([certs[w.tobytes()].unique for w in weights])
+    open_probes = targets[~settled]
+    spreads = restart_spreads(atoms, cone.depth, open_probes, trials, seed)
+    k = len(atoms)
+    rank_tol, margin_tol = certificate_tolerances(a)
+    return UniquenessReport(
+        k,
+        rank,
+        rank == k,
+        trials,
+        seed,
+        *spreads,
+        unique=bool(settled.all()),
+        margin=min(c.margin for c in certs.values()),
+        support=tuple(int(n) for n in np.count_nonzero(weights, axis=1)),
+        restarts=len(open_probes) * trials,
+        rank_tol=rank_tol,
+        margin_tol=margin_tol,
+    )
+
+
+def restart_spreads(
+    atoms: AtomSet, depth: int, targets: np.ndarray, trials: int, seed: int
+) -> tuple[float, float]:
+    """Re-solve the fit of :func:`reconstruct` at each row of ``targets``
+    (symmetric coordinates up to ``depth``, as :meth:`Cone.targets` gives
+    them) from ``trials`` random restarts, seeded by ``seed``, and return the
+    largest weight spread and the largest moment spread (0.0 for no rows).
 
     A restart seeds stage 1 with a random point of a random q-face of the
     simplex: Dirichlet(1) weights on ``min(q, k)`` atoms drawn at random, q
@@ -609,43 +757,32 @@ def uniqueness_check(
     optimum needs at most q atoms; a start on more than q atoms spends one
     blocked step per extra atom dropping it, which says nothing about the
     optimal face.  The random face keeps the starts spread over the whole
-    dictionary.  The starts are drawn probe by probe, restart by restart,
-    and the probes x trials restarts run as one stacked solve of
+    dictionary.  The starts are drawn row by row, restart by restart, and
+    the rows x trials restarts run as one stacked solve of
     :func:`~finetti.solvers.lead_first_lstsq`.
 
-    With moment-independent atoms every restart must land on the same weight
-    vector; with degenerate atoms (rank below the atom count) the weight
-    spread is reported but only the moment image is expected to agree.  The
-    moment spread is the largest entry of the gap between the synthesized
-    levels of two restarts at one probe: each restart's levels are
-    synthesized once, then compared pair by pair.  Raises ``ValueError`` when
-    ``trials`` is below 2, which leaves no pair of restarts to compare, and
-    when the cone's base is not the atoms' base, as :func:`mediating_map`
-    does.
+    With a unique optimum every restart must land on the same weight
+    vector; with several, the weight spread shows them, while only the
+    moment image is expected to agree.  The moment spread is the largest
+    entry of the gap between the synthesized levels of two restarts at one
+    row: each restart's levels are synthesized once, then compared pair by
+    pair.  ``trials`` must be at least 2.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be at least 2, got {trials}")
-    if cone.base != atoms.base:
-        raise ValueError(f"cone base {cone.base} != atom base {atoms.base}")
+    n_rows, k = len(targets), len(atoms)
+    if not n_rows:
+        return 0.0, 0.0
     rng = np.random.default_rng(seed)
-    rank = moment_rank(atoms, cone.depth)
-    targets, _ = cone.targets()
-    n_probes, k = len(targets), len(atoms)
     face = min(atoms.base.dim, k)
-    starts = np.zeros((n_probes * trials, k))
+    starts = np.zeros((n_rows * trials, k))
     for start in starts:
         start[rng.choice(k, face, replace=False)] = rng.dirichlet(np.ones(face))
     b = np.repeat(targets, trials, axis=0)
-    sols, _ = lead_first_lstsq(atoms.context(cone.depth), b, start=starts)
-    levels = symmetric.unproject(atoms.base, cone.depth, sols @ atoms.design(cone.depth).T)
+    sols, _ = lead_first_lstsq(atoms.context(depth), b, start=starts)
+    levels = symmetric.unproject(atoms.base, depth, sols @ atoms.design(depth).T)
     i, j = np.triu_indices(trials, 1)
 
     def spread(rows: np.ndarray) -> float:
-        rows = rows.reshape(n_probes, trials, -1)
+        rows = rows.reshape(n_rows, trials, -1)
         return float(np.abs(rows[:, i] - rows[:, j]).max())
 
-    weight_spread = spread(sols)
-    moment_spread = max(spread(lv) for lv in levels)
-    return UniquenessReport(
-        k, rank, rank == k, trials, seed, weight_spread, moment_spread
-    )
+    return spread(sols), max(spread(lv) for lv in levels)

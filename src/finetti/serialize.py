@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .classical import FinDist, encode_space, grid_atoms
+from .classical import FinDist, encode_space, grid_atoms, label_key
 from .cpmaps import (
     HEISENBERG,
     SCHRODINGER,
@@ -228,11 +228,13 @@ def encode_exch_seq(seq: ExchSeq) -> dict:
 
 def _decode_space(doc, path: str) -> list:
     """A document's point labels: at least two, none repeated, since grids
-    are matched to them label by label."""
+    are matched to them label by label (by
+    :func:`~finetti.classical.label_key`, so ``true`` is not ``1``)."""
     space = _require(doc, "space", path)
     if not isinstance(space, list) or len(space) < 2:
         _fail(path, "'space' must list at least two labels")
-    if any(space.index(x) != i for i, x in enumerate(space)):
+    keys = list(map(label_key, space))
+    if any(keys.index(x) != i for i, x in enumerate(keys)):
         _fail(f"{path}.space", f"repeated labels in {space!r}")
     return space
 
@@ -364,7 +366,12 @@ def encode_report(report: ExchangeReport, kind: str) -> dict:
 
 
 def encode_uniqueness(rep: UniquenessReport) -> dict:
-    return dataclasses.asdict(rep)
+    """The report's fields, with an infinite margin (no probe has an atom
+    off its support) written as ``null``, which JSON can carry."""
+    doc = dataclasses.asdict(rep)
+    if rep.margin == float("inf"):
+        doc["margin"] = None
+    return doc
 
 
 # --- top-level I/O ----------------------------------------------------------------

@@ -348,6 +348,26 @@ def test_a_grid_on_other_labels_is_refused_by_name():
             grid_atoms(grid, ["H", "T"])
 
 
+def test_family_levels_are_read_in_tuple_order():
+    # FinDist(["T", "H"], [0.2, 0.8]) puts 0.8 on H: the family is the coin
+    # of bias 0.8 on H, whatever order its levels list their labels in.
+    grid = [bernoulli(COIN_SPACE, 0.2), bernoulli(COIN_SPACE, 0.8)]
+    flipped = ClassicalExchSeq(COIN_SPACE, 1, [FinDist(["T", "H"], [0.2, 0.8])])
+    w, residual = hs_reconstruct(flipped, grid)
+    assert np.array_equal(w, [0.0, 1.0]) and residual <= 1e-15
+    seq = _heads_family(2)
+    level2 = seq.level(2)
+    order = [3, 1, 2, 0]
+    shuffled = FinDist([level2.space[i] for i in order], level2.probs[order])
+    again = ClassicalExchSeq(COIN_SPACE, 2, [seq.level(1), shuffled])
+    assert again.level(2).space == tuple_space(COIN_SPACE, 2)
+    assert np.array_equal(again.level(2).probs, level2.probs)
+    other = FinDist([("H", "H"), ("H", "T"), ("T", "H"), ("T", "A")], level2.probs)
+    for levels in ([FinDist(["A", "H"], [0.2, 0.8])], [seq.level(1), other]):
+        with pytest.raises(ValueError, match="not a reordering of"):
+            ClassicalExchSeq(COIN_SPACE, len(levels), levels)
+
+
 def test_encode_space_and_dist():
     alg = encode_space(ABC)
     assert alg.blocks == (1, 1, 1)

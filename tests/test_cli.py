@@ -40,7 +40,10 @@ from finetti.fixtures import (
     circuit1_sequence,
     coin_grid,
     coin_sequence,
+    constant_cone,
+    equator_atoms,
     measure_prepare_cone,
+    qubit_state,
     singlet_sequence,
 )
 from finetti.serialize import (
@@ -468,6 +471,34 @@ def test_factor_cone_with_adapted_atoms(capsys, cone_file, tmp_path):
     assert doc["uniqueness"]["max_weight_spread"] <= 1e-8
     assert len(doc["weights"]) == 4  # one row per probe state
     assert len(doc["probes"]) == 4
+    # Every probe weighs both atoms: no atom off the support, no margin to bound.
+    assert doc["uniqueness"]["unique"] is True and doc["uniqueness"]["margin"] is None
+    assert doc["uniqueness"]["support"] == [2, 2, 2, 2]
+    assert doc["uniqueness"]["restarts"] == 0
+
+
+def test_factor_prints_the_certificate_and_restarts_only_where_it_is_open(
+    capsys, cone_file, tmp_path
+):
+    # Over 50 default atoms (moment rank 20) the measure-prepare cone's map
+    # is certified unique, so no restart runs; I/2 over equator atoms has
+    # many best mixtures (none exact), so every probe restarts.
+    code = main(["factor", "--input", cone_file, "--atom-count", "50", "--max-residual", "1"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "moment rank: 20/50\n" in out
+    assert "mediating map: unique (certified at 4/4 probes; least margin" in out
+    assert "restarts" not in out
+    cone = tmp_path / "half.json"
+    dump_document(encode_cone(constant_cone(qubit_state(np.eye(2) / 2), 2)), str(cone))
+    atoms = tmp_path / "equator.json"
+    dump_document(encode_atoms(equator_atoms(16)), str(atoms))
+    argv = ["factor", "--input", str(cone), "--atoms", str(atoms), "--trials", "3"]
+    argv += ["--max-residual", "1"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "mediating map: not certified unique (certified at 0/4 probes;" in out
+    assert "weight spread over 3 restarts at each of 4 uncertified probes:" in out
 
 
 def test_factor_cone_random_atoms_not_representable(capsys, cone_file):

@@ -1,9 +1,12 @@
 import dataclasses
 import functools
 import gc
+import importlib.util
 import math
+import sys
 import weakref
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from finetti.definetti import (
     Mixture,
     NotExchangeable,
     NotRepresentable,
+    certificate_tolerances,
+    certify,
     check_cone,
     default_atoms,
     explicit_atoms,
@@ -29,6 +34,7 @@ from finetti.definetti import (
     random_mixed_state,
     random_pure_state,
     reconstruct,
+    restart_spreads,
     sequence_vector,
     synthesize,
     uniqueness_check,
@@ -452,9 +458,9 @@ def test_mediating_map_on_measure_prepare_cone():
 
 
 def test_cone_fits_are_one_stacked_solve_each(monkeypatch):
-    # mediating_map fits all probes in one call of the solver, and
-    # uniqueness_check all probes x trials restarts in one more; each probe
-    # row matches reconstruct's own fit of that probe.
+    # mediating_map fits all probes in one call of the solver, and the
+    # restarts all probes x trials restarts in one more; each probe row
+    # matches reconstruct's own fit of that probe.
     import finetti.definetti as definetti
 
     calls = []
@@ -468,10 +474,10 @@ def test_cone_fits_are_one_stacked_solve_each(monkeypatch):
     atoms = default_atoms(2, 12, seed=5)
     assert moment_independent(atoms, 3)
     med = mediating_map(cone, atoms, max_residual=1.0)  # no exact fit here
-    report = uniqueness_check(cone, atoms, trials=3)
+    weight_spread, _ = restart_spreads(atoms, 3, cone.targets()[0], trials=3, seed=0)
     rows = 4 + 10 + 20
     assert calls == [(4, rows), (12, rows)]
-    assert report.max_weight_spread <= 1e-12
+    assert weight_spread <= 1e-12
     for kappa, w, res in zip(med.probes, med.weights, med.residuals):
         mix, alone = reconstruct(cone.sequence(kappa), atoms, check=False)
         assert np.abs(mix.weights - w).max() <= 1e-12
@@ -541,6 +547,7 @@ def test_uniqueness_check_on_independent_atoms():
     assert report.moment_rank == 2
     assert report.max_weight_spread <= 1e-8
     assert report.max_moment_spread <= 1e-8
+    assert report.unique and report.restarts == 0 and report.trials == 10
 
 
 def test_uniqueness_check_flags_degenerate_atoms():
@@ -562,8 +569,11 @@ def test_uniqueness_check_flags_degenerate_atoms():
 def test_uniqueness_restarts_detect_degenerate_weights(atoms, depth):
     # I/2 is the barycenter of many mixtures over these atoms: restarts on
     # random faces must land on visibly different weights, one moment image.
+    # The certificate settles none of the four probes, so all of them restart.
     cone = constant_cone(qubit_state(np.eye(2) / 2), depth=depth)
     report = uniqueness_check(cone, atoms(), trials=10)
+    assert not report.unique and report.margin <= report.margin_tol
+    assert report.restarts == 4 * 10
     assert report.max_weight_spread >= 0.1
     assert report.max_moment_spread <= 1e-8
 
@@ -581,8 +591,8 @@ def test_uniqueness_restarts_skip_the_drop_walk(monkeypatch):
         solvers, "_passive_steps", lambda *args: steps.append(len(args[0])) or real(*args)
     )
     cone = measure_prepare_cone(3)  # apex A(2): four probe states
-    report = uniqueness_check(cone, default_atoms(2, 50, seed=3), trials=10)
-    restarts = 4 * report.trials
+    restart_spreads(default_atoms(2, 50, seed=3), 3, cone.targets()[0], trials=10, seed=0)
+    restarts = 4 * 10
     assert 0 < sum(steps) <= 25 * restarts
 
 
@@ -605,6 +615,89 @@ def test_uniqueness_check_refuses_atoms_on_another_base():
     for atoms in (on_points, default_atoms(3, 5, seed=0)):
         with pytest.raises(ValueError, match="cone base .* != atom base"):
             uniqueness_check(cone, atoms, trials=2)
+
+
+def _augmented(a: np.ndarray) -> np.ndarray:
+    return np.vstack([np.ones((1, a.shape[1])), a])
+
+
+def test_certificate_on_full_support_needs_no_solve(monkeypatch):
+    # Every probe of the measure-prepare cone weighs both of its two atoms:
+    # no atom is off the support, so the rank test alone decides, with
+    # margin inf, and no solve runs on the empty off-support design.
+    import finetti.definetti as definetti
+
+    def no_solve(*args, **kw):
+        raise AssertionError("solve on an empty design")
+
+    monkeypatch.setattr(definetti, "simplex_lstsq", no_solve)
+    atoms = circuit1_atoms()
+    report = uniqueness_check(measure_prepare_cone(3), atoms, trials=10)
+    assert report.support == (2, 2, 2, 2)
+    assert report.unique and report.margin == math.inf and report.restarts == 0
+    cert = certify(atoms.design(3), np.array([0.5, 0.5]))
+    assert cert.unique and cert.margin == math.inf and cert.direction is None
+
+
+def test_certificate_refutes_uniqueness_with_a_null_direction():
+    # A target synthesized over all 50 atoms, at moment rank 20, has many
+    # optimal weight vectors.  Every refutation returns a direction d that
+    # keeps [1; A] d = 0 and is nonnegative off the support: for the fitted
+    # weights (the projected off-support design reaches 0), and for the
+    # synthesizing weights themselves (the support is rank-deficient, also
+    # with more support atoms than rows, as for a generic 3 x 10 design).
+    atoms = default_atoms(2, 50, seed=3)
+    a = atoms.design(3)
+    margin_tol = certificate_tolerances(a)[1]
+    w_true = np.random.default_rng(1).dirichlet(np.ones(50))
+    mix, residual = reconstruct(synthesize(Mixture(atoms, w_true), 3), atoms)
+    assert residual <= 1e-10
+    wide = np.random.default_rng(3).random((3, 10))
+    cases = [(a, mix.weights, margin_tol), (a, w_true, 0.0), (wide, np.full(10, 0.1), 0.0)]
+    for a, w, margin in cases:
+        cert = certify(a, w)
+        assert not cert.unique and cert.margin <= margin
+        d = cert.direction
+        assert np.abs(d).sum() >= 1.0 - 1e-12
+        assert d[w == 0].min(initial=0.0) >= 0.0
+        assert np.linalg.norm(_augmented(a) @ d) <= 1e-10
+
+
+def test_certificate_margin_bounds_the_off_support_mass():
+    # Every simplex point w' puts at most ||A (w' - w)|| / margin of its mass
+    # off the support of a certified w, from far away and from close by.
+    atoms = default_atoms(2, 50, seed=3)
+    a = atoms.design(3)
+    rng = np.random.default_rng(2)
+    for support, weights in (([0], [1.0]), ([1, 2], [0.3, 0.7])):
+        w = np.zeros(50)
+        w[support] = weights
+        cert = certify(a, w)
+        assert cert.unique and cert.margin > certificate_tolerances(a)[1]
+        for t in np.logspace(-6, 0, 40):
+            w2 = (1 - t) * w + t * rng.dirichlet(np.ones(50))
+            off = np.delete(w2, support).sum()
+            assert off <= np.linalg.norm(a @ (w2 - w)) / cert.margin * (1 + 1e-9)
+
+
+def test_factor_cones_benchmark_cones_are_certified_with_no_restart(monkeypatch):
+    # The factorable cones of the factor-cones workload (seed 5): constant
+    # cones and the measure-prepare cone over 50 qubit atoms at moment rank
+    # 20 or 35 have unique mediating maps, and the certificate shows it.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    env = workloads.FactorCones(5, "").setup()
+    factorable = [key for key in env["cones"] if not key.startswith("broken")]
+    assert len(factorable) == 8
+    for key in factorable:
+        report = uniqueness_check(env["cones"][key], env["atoms"], trials=10, seed=5)
+        assert not report.independent, key
+        assert report.unique and report.restarts == 0 and report.trials == 10, key
+        assert report.margin > report.margin_tol, key
+        assert report.max_weight_spread == report.max_moment_spread == 0.0, key
 
 
 def test_synthesize_matches_eta_invariance():
@@ -998,15 +1091,15 @@ def test_spreads_are_the_largest_gaps_over_all_pairs_of_restarts(monkeypatch):
     ]
     trials = 6
     for cone, atoms in cases:
-        report = uniqueness_check(cone, atoms, trials=trials, seed=2)
+        spreads = restart_spreads(atoms, cone.depth, cone.targets()[0], trials, seed=2)
         sols = drawn[-1].reshape(-1, trials, len(atoms))
         i, j = np.triu_indices(trials, 1)
         gaps = (sols[:, i] - sols[:, j]).reshape(-1, len(atoms))
         levels = symmetric.unproject(atoms.base, cone.depth, gaps @ atoms.design(cone.depth).T)
-        assert report.max_weight_spread == np.abs(gaps).max()
+        assert spreads[0] == np.abs(gaps).max()
         ref = max(np.abs(lv).max() for lv in levels)
         assert ref > 1e-3
-        assert abs(report.max_moment_spread - ref) <= 1e-15
+        assert abs(spreads[1] - ref) <= 1e-15
 
 
 # --- a cone's probe data --------------------------------------------------------

@@ -289,6 +289,19 @@ def test_grid_documents_are_read_in_the_given_label_order():
         decode_atoms(doc, space=["A", "B"])
 
 
+def test_a_boolean_label_is_never_a_number():
+    # JSON's true is not its 1, while 1 and 1.0 stay one number.
+    seq = detect_sequence({"space": [1, True], "depth": 1, "measures": [[0.5, 0.5]]})
+    assert seq.base == Algebra((1, 1))
+    with pytest.raises(SchemaError, match=r"^input\.space: repeated labels"):
+        detect_sequence({"space": [1, 1.0], "depth": 1, "measures": [[0.5, 0.5]]})
+    grid = {"space": [True, False], "grid": [[0.2, 0.8]]}
+    with pytest.raises(SchemaError, match="are not a reordering of \\[1, 0\\]"):
+        decode_atoms(grid, space=[1, 0])
+    (atom,) = decode_atoms({"space": [1.0, 0], "grid": [[0.2, 0.8]]}, space=[0, 1]).atoms
+    assert [m[0, 0].real for m in atom.dens] == [0.8, 0.2]
+
+
 def test_mixture_round_trip():
     atoms = default_atoms(2, 4, seed=1)
     mix = Mixture(atoms, np.array([0.1, 0.2, 0.3, 0.4]))
